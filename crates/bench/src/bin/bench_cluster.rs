@@ -101,11 +101,10 @@ struct Measured {
     stats: ClusterStats,
 }
 
-/// Intra-pass threading pinned to 1: process fan-out is the only
+/// In-process threading pinned to 1: process fan-out is the only
 /// parallelism under test.
 fn bench_config() -> DiscoveryConfig {
     DiscoveryConfig {
-        parallel: false,
         threads: 1,
         ..DiscoveryConfig::default()
     }

@@ -79,7 +79,6 @@ fn synthetic_doc(cat: usize, doc: usize, smoke: bool) -> String {
 
 fn config_for(threads: usize) -> DiscoveryConfig {
     DiscoveryConfig {
-        parallel: threads > 1,
         threads,
         ..DiscoveryConfig::default()
     }

@@ -128,6 +128,23 @@ fn run_config(
     }
 }
 
+/// The work counters of a run, for cross-config equality checks.
+fn counters(r: &RunResult) -> [usize; 11] {
+    [
+        r.nodes,
+        r.partitions,
+        r.products,
+        r.products_error_only,
+        r.products_materialized,
+        r.early_exits,
+        r.summary_hits,
+        r.cache_hits,
+        r.cache_misses,
+        r.evictions,
+        r.peak_resident_bytes,
+    ]
+}
+
 fn sweep(
     name: &str,
     tree: &DataTree,
@@ -136,7 +153,7 @@ fn sweep(
     inter_relation: bool,
     out: &mut String,
 ) -> (f64, f64) {
-    let mut configs: [(&'static str, DiscoveryConfig); 5] = [
+    let mut configs: [(&'static str, DiscoveryConfig); 4] = [
         ("sequential", DiscoveryConfig::default()),
         // Escape hatch: every lattice node materializes its CSR product —
         // the before side of the tiered-kernel comparison.
@@ -147,20 +164,11 @@ fn sweep(
                 ..Default::default()
             },
         ),
-        (
-            "parallel-auto",
-            DiscoveryConfig {
-                parallel: true,
-                threads: 0,
-                ..Default::default()
-            },
-        ),
-        // Forced two workers: exercises the speculative level precompute
-        // even where `available_parallelism` is 1 (pure overhead there).
+        // Two workers: relation passes of one wave run on a pool (pure
+        // overhead where `available_parallelism` is 1).
         (
             "parallel-2",
             DiscoveryConfig {
-                parallel: true,
                 threads: 2,
                 ..Default::default()
             },
@@ -197,6 +205,13 @@ fn sweep(
             r.config
         );
     }
+    // Threads only split relations across workers, so every work counter
+    // matches the sequential run too.
+    assert_eq!(
+        counters(&results[2]),
+        counters(&results[0]),
+        "{name}: parallel-2 work counters diverged from sequential"
+    );
     // The tiered kernel must actually engage, and must not cost memory:
     // summaries are 32 bytes against whole CSR partitions.
     assert!(
@@ -292,8 +307,8 @@ fn sweep(
         results[1].lattice_ms,
         results[2].ms,
         results[0].peak_resident_bytes,
-        results[4].peak_resident_bytes,
-        results[4].evictions,
+        results[3].peak_resident_bytes,
+        results[3].evictions,
     );
     (results[0].ms, results[2].ms)
 }
@@ -415,8 +430,8 @@ fn main() {
     });
 
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    // On a single-core machine `parallel-auto` degenerates to the
-    // sequential path, so `speedup_parallel` hovers around 1.0 there;
+    // On a single-core machine `parallel-2` is the sequential path plus
+    // thread overhead, so `speedup_parallel` sits at or below 1.0 there;
     // record the core count so the numbers are interpretable.
     let mut json = format!("{{\n  \"available_parallelism\": {cores},\n  \"datasets\": [\n");
     sweep("warehouse", &warehouse, 1 << 20, None, true, &mut json);

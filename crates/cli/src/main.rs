@@ -180,7 +180,6 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
     };
     if let Some(threads) = opt_value::<usize>(args, "--threads")? {
         // `--threads 1` forces sequential; `--threads 0` = auto-detect.
-        config.parallel = threads != 1;
         config.threads = threads;
     }
     if flag(args, "--no-sets") {
@@ -676,7 +675,6 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
                 ..Default::default()
             };
             if let Some(threads) = opt_value::<usize>(rest, "--threads")? {
-                config.parallel = threads != 1;
                 config.threads = threads;
             }
             let mut handle = store.open(corpus).map_err(|e| e.to_string())?;
@@ -808,7 +806,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         ..Default::default()
     };
     if let Some(threads) = opt_value::<usize>(rest, "--threads")? {
-        config.parallel = threads != 1;
         config.threads = threads;
     }
     let mut opts = xfd_cluster::ClusterOptions::default();

@@ -15,6 +15,7 @@ fn write_warehouse() -> tempfile_lite::TempPath {
 /// A tiny self-contained temp-file helper (std-only; avoids a dependency).
 mod tempfile_lite {
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     pub struct TempPath(pub PathBuf);
 
@@ -24,9 +25,14 @@ mod tempfile_lite {
         }
     }
 
+    /// Tests run on parallel threads of one process; each file gets its
+    /// own name so one test's `Drop` never deletes another's input.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+
     pub fn write(name: &str, contents: &[u8]) -> TempPath {
         let mut p = std::env::temp_dir();
-        p.push(format!("{}-{}", std::process::id(), name));
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        p.push(format!("{}-{n}-{}", std::process::id(), name));
         std::fs::write(&p, contents).expect("temp write");
         TempPath(p)
     }

@@ -49,12 +49,12 @@ pub struct DiscoveryConfig {
     /// Keep FDs/keys that Definition 10 classifies as uninteresting
     /// (reported separately for inspection).
     pub keep_uninteresting: bool,
-    /// Process independent relations (same relation-tree depth) on scoped
-    /// worker threads, and precompute each relation's per-level partitions
-    /// on workers. Results are identical to the sequential run.
-    pub parallel: bool,
-    /// Worker-thread count for the parallel passes: `0` = auto-detect from
-    /// the machine, `n` = exactly `n`. Ignored unless [`Self::parallel`].
+    /// Worker threads: `1` (the default) runs sequentially, `0` detects
+    /// the machine's parallelism, `n` uses exactly `n`. The workers split
+    /// the relation passes of one wave (relations at the same depth of the
+    /// relation tree) and a corpus's per-segment encoding; one relation's
+    /// lattice always runs on one thread. Output, work counters included,
+    /// is identical at any count.
     pub threads: usize,
     /// Byte budget for resident partitions per relation pass (`None` =
     /// unbounded). Evicted partitions are refolded from the base
@@ -78,8 +78,7 @@ impl Default for DiscoveryConfig {
             prune: PruneConfig::default(),
             max_partition_targets: 100_000,
             keep_uninteresting: false,
-            parallel: false,
-            threads: 0,
+            threads: 1,
             cache_budget: None,
             error_only_kernel: true,
         }
@@ -92,13 +91,15 @@ impl DiscoveryConfig {
         self.max_lhs_size.unwrap_or(usize::MAX)
     }
 
-    /// Worker threads the parallel passes may use: `1` when parallelism is
-    /// off, otherwise the configured count (`0` → machine parallelism).
+    /// Worker threads the parallel passes may use: [`Self::threads`] with
+    /// `0` resolved to the machine's parallelism.
     pub fn effective_threads(&self) -> usize {
-        if !self.parallel {
-            return 1;
+        match self.threads {
+            0 => std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+            n => n,
         }
-        crate::intra::resolve_threads(self.threads)
     }
 }
 
@@ -113,8 +114,7 @@ mod tests {
         assert!(c.empty_lhs);
         assert!(c.prune.rule1 && c.prune.rule2 && c.prune.key_prune);
         assert_eq!(c.lhs_bound(), usize::MAX);
-        assert!(!c.parallel);
-        assert_eq!(c.effective_threads(), 1, "sequential unless parallel");
+        assert_eq!(c.effective_threads(), 1, "sequential by default");
         assert_eq!(c.cache_budget, None);
         assert!(c.error_only_kernel, "tiered kernel is the default");
     }
@@ -122,13 +122,11 @@ mod tests {
     #[test]
     fn effective_threads_resolves_auto() {
         let c = DiscoveryConfig {
-            parallel: true,
             threads: 3,
             ..Default::default()
         };
         assert_eq!(c.effective_threads(), 3);
         let auto = DiscoveryConfig {
-            parallel: true,
             threads: 0,
             ..Default::default()
         };

@@ -6,32 +6,16 @@
 //! so the same engine drives the per-relation passes of `DiscoverXFD` *and*
 //! the flat-representation baseline of Section 4.1.
 //!
-//! ## Level structure, eviction and parallelism
-//!
-//! The traversal is explicitly level-wise: all nodes of size `k` are
-//! processed before any node of size `k+1` (node order within a level is
-//! generation order, which matches the former FIFO queue exactly). That
-//! structure buys two things:
-//!
-//! * **TANE-style eviction** — processing level `k` touches only
-//!   partitions of sizes `k` and `k−1`, so partitions of size ≤ `k−2`
-//!   (except the never-evicted bases) are dropped at each level boundary,
-//!   bounding resident partition memory.
-//! * **Intra-relation parallelism** — with `threads > 1`, each level's
-//!   partitions are speculatively precomputed on scoped workers against a
-//!   read-only view of the cache, merged in deterministic node order, and
-//!   the decision logic then replays sequentially over the warm cache.
-//!   Discovered FDs/keys are bit-identical to the sequential run (see
-//!   `crate::lattice::precompute_level` for the argument); only the work
-//!   counters may report extra speculative products.
+//! The traversal itself is [`crate::lattice::discover_levels`], shared with
+//! `DiscoverXFD`'s per-relation pass; this module runs it with no
+//! inter-relation context and owns its options, counters and result types.
+//! It runs on the caller's thread: parallelism lives one layer up, across
+//! the relations of a wave.
 
-use xfd_partition::{AttrSet, ErrorOnlyProduct, Partition, PartitionCache};
+use xfd_partition::AttrSet;
 
 use crate::config::PruneConfig;
-use crate::lattice::{
-    candidate_error, candidate_lhs, ensure, ensure_summary, materialize_frontier, precompute_level,
-    IntraFd,
-};
+use crate::lattice::{discover_levels, IntraFd};
 
 /// Options for a single-table run.
 #[derive(Debug, Clone, Copy)]
@@ -44,10 +28,6 @@ pub struct IntraOptions {
     pub use_rule2: bool,
     /// Consider `∅ → a` edges (constant columns).
     pub empty_lhs: bool,
-    /// Worker threads for the per-level speculative partition precompute:
-    /// `1` = fully sequential, `0` = auto-detect. Discovered FDs/keys are
-    /// bit-identical regardless.
-    pub threads: usize,
     /// Byte budget for resident partitions (`None` = unbounded). Eviction
     /// never changes results: evicted partitions are refolded from the
     /// bases on demand.
@@ -65,20 +45,9 @@ impl Default for IntraOptions {
             prune: PruneConfig::default(),
             use_rule2: true,
             empty_lhs: true,
-            threads: 1,
             cache_budget: None,
             error_only_kernel: true,
         }
-    }
-}
-
-/// Resolve a thread-count knob: `0` = auto-detect from the machine.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    match threads {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        n => n,
     }
 }
 
@@ -175,177 +144,7 @@ pub fn discover_intra(
     n_tuples: usize,
     opts: &IntraOptions,
 ) -> IntraResult {
-    let mut result = IntraResult::default();
-    let mut cache = PartitionCache::with_budget(opts.cache_budget);
-    cache.insert(AttrSet::empty(), Partition::universal(n_tuples));
-    if n_tuples <= 1 {
-        // Every attribute set, including ∅, identifies the lone tuple.
-        result.keys.push(AttrSet::empty());
-        return result;
-    }
-    for (i, col) in columns.iter().enumerate() {
-        debug_assert_eq!(col.len(), n_tuples);
-        cache.insert_column(AttrSet::single(i), col);
-    }
-    let threads = resolve_threads(opts.threads);
-
-    let mut current: Vec<AttrSet> = (0..columns.len()).map(AttrSet::single).collect();
-    let mut level = 1usize;
-    while !current.is_empty() {
-        // Level k touches only partitions of sizes k and k−1; everything of
-        // size ≤ k−2 (bar the bases) is dead — drop it TANE-style.
-        cache.evict_below(level.saturating_sub(2));
-        if threads > 1 && level >= 2 {
-            precompute_level(
-                &mut cache,
-                &current,
-                &result.fds,
-                &result.keys,
-                &opts.prune,
-                opts.use_rule2,
-                opts.empty_lhs,
-                threads,
-            );
-        }
-        let mut next_level: Vec<AttrSet> = Vec::new();
-        for &a_set in &current {
-            if opts.prune.key_prune && result.covered_by_key(a_set) {
-                result.stats.nodes_key_skipped += 1;
-                continue;
-            }
-            let cands = candidate_lhs(
-                a_set,
-                &result.fds,
-                &opts.prune,
-                opts.use_rule2,
-                opts.empty_lhs,
-            );
-            if a_set.len() > 1 && cands.is_empty() {
-                continue;
-            }
-            result.stats.nodes_visited += 1;
-            result.stats.max_level = result.stats.max_level.max(a_set.len());
-
-            if opts.error_only_kernel {
-                if let Some(node_error) = cache.error_of(a_set) {
-                    // Node already resident (parallel precompute warmed the
-                    // cache, or a frontier pass materialized it): keys skip
-                    // candidate work entirely, exactly like the
-                    // materializing path.
-                    if node_error == 0 {
-                        result.keys.push(a_set);
-                        continue;
-                    }
-                    for &al in &cands {
-                        let e = candidate_error(
-                            &mut cache,
-                            al,
-                            &result.fds,
-                            &opts.prune,
-                            opts.use_rule2,
-                            opts.empty_lhs,
-                        );
-                        if e == node_error {
-                            let rhs = a_set
-                                .minus(al)
-                                .max_attr()
-                                .expect("al = a_set minus one attr");
-                            result.fds.push(IntraFd { lhs: al, rhs });
-                        }
-                    }
-                } else {
-                    // Tiered kernel: candidate errors first (O(1) from
-                    // either cache tier after the frontier pass), then one
-                    // error-only product for the node, early-exiting once
-                    // its error provably drops below every candidate's
-                    // (Lemma 2: all edges fail, and error ≥ 1 rules out a
-                    // key).
-                    let mut cand_errors: Vec<usize> = Vec::with_capacity(cands.len());
-                    for &al in &cands {
-                        cand_errors.push(candidate_error(
-                            &mut cache,
-                            al,
-                            &result.fds,
-                            &opts.prune,
-                            opts.use_rule2,
-                            opts.empty_lhs,
-                        ));
-                    }
-                    let bound = cand_errors.iter().copied().min();
-                    let node_error = match ensure_summary(&mut cache, a_set, &cands, bound) {
-                        ErrorOnlyProduct::Exact(s) if s.error == 0 => {
-                            result.keys.push(a_set);
-                            continue;
-                        }
-                        ErrorOnlyProduct::Exact(s) => Some(s.error),
-                        ErrorOnlyProduct::BelowBound => None,
-                    };
-                    for (&al, &e) in cands.iter().zip(&cand_errors) {
-                        if node_error == Some(e) {
-                            let rhs = a_set
-                                .minus(al)
-                                .max_attr()
-                                .expect("al = a_set minus one attr");
-                            result.fds.push(IntraFd { lhs: al, rhs });
-                        }
-                    }
-                }
-            } else {
-                ensure(&mut cache, a_set, &cands);
-                if cache.get(a_set).expect("ensured").is_key() {
-                    result.keys.push(a_set);
-                    continue;
-                }
-                // Candidate partitions are only needed on non-key nodes. Pin
-                // `Π_{a_set}` outside the cache while they are refolded: under a
-                // byte budget those inserts could otherwise evict it mid-node.
-                let pa = cache.take(a_set).expect("ensured");
-                for &al in &cands {
-                    ensure(&mut cache, al, &[]);
-                    let pl = cache.get(al).expect("just ensured");
-                    if pl.same_as_refining(&pa) {
-                        let rhs = a_set
-                            .minus(al)
-                            .max_attr()
-                            .expect("al = a_set minus one attr");
-                        result.fds.push(IntraFd { lhs: al, rhs });
-                    }
-                }
-                cache.adopt(a_set, pa);
-            }
-            if a_set.len() <= opts.max_lhs {
-                let last = a_set.max_attr().expect("non-empty lattice node");
-                for next in last + 1..columns.len() {
-                    let bigger = a_set.insert(next);
-                    if opts.prune.key_prune && result.covered_by_key(bigger) {
-                        continue;
-                    }
-                    next_level.push(bigger);
-                }
-            }
-        }
-        // Tiered kernel, sequential: materialize exactly the partitions the
-        // next level will use as product operands, while this level's
-        // operands are still resident. (With threads > 1 the speculative
-        // precompute materializes every node it touches, so the frontier
-        // pass is unnecessary.)
-        if opts.error_only_kernel && threads <= 1 {
-            materialize_frontier(
-                &mut cache,
-                &next_level,
-                &result.fds,
-                &result.keys,
-                &opts.prune,
-                opts.use_rule2,
-                opts.empty_lhs,
-                false,
-            );
-        }
-        current = next_level;
-        level += 1;
-    }
-    result.stats.adopt_cache(&cache.stats());
-    result
+    discover_levels(columns, n_tuples, opts, None)
 }
 
 #[cfg(test)]
@@ -655,7 +454,7 @@ mod tests {
         }
     }
 
-    /// The parallel precompute and the memory-bounded cache must not change
+    /// Neither the memory-bounded cache nor the partition kernel may change
     /// a single emitted FD or key — not even their order.
     #[test]
     fn threads_and_budget_leave_results_bit_identical() {
@@ -683,29 +482,15 @@ mod tests {
             let seq = discover_intra(&refs, n_rows, &IntraOptions::default());
             for opts in [
                 IntraOptions {
-                    threads: 4,
-                    ..Default::default()
-                },
-                IntraOptions {
                     cache_budget: Some(256),
                     ..Default::default()
                 },
                 IntraOptions {
-                    threads: 3,
                     cache_budget: Some(1024),
                     ..Default::default()
                 },
                 IntraOptions {
-                    threads: 0, // auto-detect
-                    ..Default::default()
-                },
-                IntraOptions {
                     error_only_kernel: false,
-                    ..Default::default()
-                },
-                IntraOptions {
-                    error_only_kernel: false,
-                    threads: 4,
                     ..Default::default()
                 },
                 IntraOptions {
@@ -719,7 +504,7 @@ mod tests {
                 assert_eq!(got.keys, seq.keys, "keys drifted under {opts:?}");
                 assert_eq!(
                     got.stats.nodes_visited, seq.stats.nodes_visited,
-                    "replay visited different nodes under {opts:?}"
+                    "visited different nodes under {opts:?}"
                 );
             }
         }

@@ -1,14 +1,14 @@
-//! Shared lattice helpers: candidate-LHS pruning (the paper's
-//! `candidateLHS` / `candidateLHS2`), partition materialization, and the
-//! speculative level-parallel partition precompute used by both lattice
-//! passes (`discover_intra` and `DiscoverXFD`'s per-relation pass).
+//! The attribute-set lattice: the one level-wise traversal
+//! ([`discover_levels`]) that drives both `discover_intra` and
+//! `DiscoverXFD`'s per-relation pass, candidate-LHS pruning (the paper's
+//! `candidateLHS` / `candidateLHS2`) and partition materialization for the
+//! two partition kernels (tiered error-only and materializing).
 
-use xfd_hash::FxHashMap;
-use xfd_partition::{
-    AttrSet, CacheStats, ErrorOnlyProduct, Partition, PartitionCache, ProductScratch,
-};
+use xfd_partition::{AttrSet, ErrorOnlyProduct, Partition, PartitionCache};
 
 use crate::config::PruneConfig;
+use crate::intra::{IntraOptions, IntraResult};
+use crate::xfd::TargetContext;
 
 /// A discovered minimal intra-relation FD `lhs → rhs` (attribute indices).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,8 +221,7 @@ pub(crate) fn candidate_error(
 
 /// Materialize the partitions the *next* lattice level will use as product
 /// operands, now that the current level's summaries identified them. Run at
-/// the end of each level by the tiered sequential traversal (`threads ≤ 1`;
-/// the parallel precompute already materializes everything it touches).
+/// the end of each level by the tiered traversal.
 ///
 /// For each next-level node [`ensure_summary`] refines *one* resident
 /// parent through a base map, so only the first candidate becomes a full
@@ -271,166 +270,207 @@ pub(crate) fn materialize_frontier(
     }
 }
 
-/// A worker-local overlay over the shared (read-only) cache: lookups fall
-/// through to the base, all writes stay local. Workers never mutate the
-/// shared cache, so several of them can run against it at once.
-struct Overlay<'a> {
-    base: &'a PartitionCache,
-    local: FxHashMap<AttrSet, Partition>,
-    /// Insertion order of `local`, so the merge is deterministic.
-    order: Vec<AttrSet>,
-    scratch: ProductScratch,
-    products: usize,
-}
-
-impl<'a> Overlay<'a> {
-    fn new(base: &'a PartitionCache) -> Self {
-        Overlay {
-            base,
-            local: FxHashMap::default(),
-            order: Vec::new(),
-            scratch: ProductScratch::new(),
-            products: 0,
-        }
-    }
-
-    fn get(&self, attrs: AttrSet) -> Option<&Partition> {
-        self.local.get(&attrs).or_else(|| self.base.get(attrs))
-    }
-
-    fn product(&mut self, a: AttrSet, b: AttrSet) {
-        let target = a.union(b);
-        if self.get(target).is_some() {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let pa = self.get(a).expect("operand partition must be available");
-        let pb = self.get(b).expect("operand partition must be available");
-        let prod = pa.product_in(pb, &mut scratch);
-        self.scratch = scratch;
-        self.products += 1;
-        self.local.insert(target, prod);
-        self.order.push(target);
-    }
-
-    /// Mirror of [`ensure`] against the overlay.
-    fn ensure(&mut self, a_set: AttrSet, candidates: &[AttrSet]) {
-        if self.get(a_set).is_some() {
-            return;
-        }
-        if candidates.len() >= 2 {
-            let (c1, c2) = (candidates[0], candidates[1]);
-            if self.get(c1).is_some() && self.get(c2).is_some() {
-                debug_assert_eq!(c1.union(c2), a_set);
-                self.product(c1, c2);
-                return;
-            }
-        }
-        if let Some(&c1) = candidates.first() {
-            let rest = a_set.minus(c1);
-            if self.get(c1).is_some() && self.get(rest).is_some() {
-                self.product(c1, rest);
-                return;
-            }
-        }
-        let mut iter = a_set.iter();
-        let first = AttrSet::single(iter.next().expect("ensure on empty set"));
-        let mut acc = first;
-        for a in iter {
-            self.product(acc, AttrSet::single(a));
-            acc = acc.insert(a);
-        }
-    }
-}
-
-/// Speculatively materialize the partitions one lattice level will need, on
-/// `threads` scoped workers, and merge them into `cache` in deterministic
-/// node order.
+/// The level-wise lattice traversal of `DiscoverFD` (Figure 8), the only
+/// one: it runs both `discover_intra` and `DiscoverXFD`'s per-relation
+/// pass (Figure 9). `opts.use_rule2` picks `candidateLHS` or
+/// `candidateLHS2`; `targets` adds the inter-relation side: incoming
+/// partition targets checked at every node and failing edges turned into
+/// outgoing targets. With `targets = None` this is plain `DiscoverFD`.
 ///
-/// Correctness argument (why the follow-up sequential replay over `nodes`
-/// is bit-identical to a run without this call): the FD and key lists only
-/// *grow* while a level is processed, and every pruning rule is monotone in
-/// them, so the candidate sets computed here from the level-*start* state
-/// are supersets of the ones the replay will compute — the replay never
-/// needs a partition this pass did not consider. And a [`Partition`] is a
-/// canonical value determined solely by its attribute set (see
-/// `xfd_partition::partition`), so it does not matter which operand pair a
-/// worker used to build it, nor which worker's duplicate wins the merge.
-/// The replay therefore sees identical partition values at every lookup and
-/// makes identical decisions; the only side effects are extra speculative
-/// products (for nodes the replay key-prunes mid-level), which show up in
-/// the work counters but never in the discovered FDs/keys.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn precompute_level(
-    cache: &mut PartitionCache,
-    nodes: &[AttrSet],
-    fds: &[IntraFd],
-    keys: &[AttrSet],
-    prune: &PruneConfig,
-    use_rule2: bool,
-    empty_lhs: bool,
-    threads: usize,
-) {
-    if threads <= 1 || nodes.len() < 2 {
-        return;
+/// All nodes of size `k` are processed before any node of size `k+1`
+/// (generation order within a level), so each level touches partitions of
+/// sizes `k` and `k−1` only and everything smaller (bar the bases) is
+/// evicted at the level boundary, TANE-style.
+///
+/// # Panics
+/// Panics if the table has more than 128 columns (see `xfd_partition::attrset`).
+pub(crate) fn discover_levels(
+    columns: &[&[Option<u64>]],
+    n_tuples: usize,
+    opts: &IntraOptions,
+    mut targets: Option<&mut TargetContext<'_>>,
+) -> IntraResult {
+    let mut result = IntraResult::default();
+    if n_tuples <= 1 {
+        // Every attribute set, including ∅, identifies the lone tuple.
+        result.keys.push(AttrSet::empty());
+        return result;
     }
-    let n_workers = threads.min(nodes.len());
-    let chunk_size = nodes.len().div_ceil(n_workers);
-    let shared: &PartitionCache = cache;
-    let worker_results: Vec<(Vec<(AttrSet, Partition)>, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = nodes
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut ov = Overlay::new(shared);
-                    for &a_set in chunk {
-                        if prune.key_prune && keys.iter().any(|k| k.is_subset_of(a_set)) {
-                            continue;
-                        }
-                        let cands = candidate_lhs(a_set, fds, prune, use_rule2, empty_lhs);
-                        if a_set.len() > 1 && cands.is_empty() {
-                            continue;
-                        }
-                        ov.ensure(a_set, &cands);
-                        if ov.get(a_set).expect("ensured").is_key() {
-                            continue;
-                        }
-                        for &al in &cands {
-                            ov.ensure(al, &[]);
-                        }
+    let mut cache = PartitionCache::with_budget(opts.cache_budget);
+    cache.insert(AttrSet::empty(), Partition::universal(n_tuples));
+    for (i, col) in columns.iter().enumerate() {
+        debug_assert_eq!(col.len(), n_tuples);
+        cache.insert_column(AttrSet::single(i), col);
+    }
+    // Incoming-target checks scan the full node partition (their
+    // `GroupMap` needs it), so a pass carrying targets runs the
+    // materializing kernel.
+    let tiered = opts.error_only_kernel && !targets.as_ref().is_some_and(|t| t.has_incoming());
+    // A pass that creates targets scans the full `Π_{A_L}` of every
+    // failing edge, so its frontier materializes every candidate.
+    let all_candidates = targets.as_ref().is_some_and(|t| t.propagates());
+    let prune = &opts.prune;
+
+    let mut current: Vec<AttrSet> = (0..columns.len()).map(AttrSet::single).collect();
+    let mut level = 1usize;
+    while !current.is_empty() {
+        cache.evict_below(level.saturating_sub(2));
+        let mut next_level: Vec<AttrSet> = Vec::new();
+        for &a_set in &current {
+            if prune.key_prune && result.covered_by_key(a_set) {
+                result.stats.nodes_key_skipped += 1;
+                continue;
+            }
+            let cands = candidate_lhs(a_set, &result.fds, prune, opts.use_rule2, opts.empty_lhs);
+            if a_set.len() > 1 && cands.is_empty() {
+                continue;
+            }
+            result.stats.nodes_visited += 1;
+            result.stats.max_level = result.stats.max_level.max(a_set.len());
+
+            let is_key = if tiered {
+                tiered_node(
+                    &mut cache,
+                    a_set,
+                    &cands,
+                    &mut result.fds,
+                    opts,
+                    targets.as_deref_mut(),
+                )
+            } else {
+                materialized_node(
+                    &mut cache,
+                    a_set,
+                    &cands,
+                    &mut result.fds,
+                    targets.as_deref_mut(),
+                )
+            };
+            if is_key {
+                result.keys.push(a_set);
+                continue;
+            }
+            if a_set.len() <= opts.max_lhs {
+                let last = a_set.max_attr().expect("non-empty lattice node");
+                for next in last + 1..columns.len() {
+                    let bigger = a_set.insert(next);
+                    if prune.key_prune && result.covered_by_key(bigger) {
+                        continue;
                     }
-                    let Overlay {
-                        mut local,
-                        order,
-                        products,
-                        ..
-                    } = ov;
-                    let built: Vec<(AttrSet, Partition)> = order
-                        .into_iter()
-                        .map(|s| {
-                            let p = local.remove(&s).expect("ordered entry present");
-                            (s, p)
-                        })
-                        .collect();
-                    (built, products)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("level precompute worker"))
-            .collect()
-    });
-    let mut stats = CacheStats::default();
-    for (built, products) in worker_results {
-        stats.products += products;
-        stats.products_materialized += products;
-        stats.partitions_built += products;
-        for (attrs, partition) in built {
-            cache.adopt(attrs, partition);
+                    next_level.push(bigger);
+                }
+            }
+        }
+        // Tiered kernel: materialize exactly the partitions the next level
+        // will use while this level's operands are still resident.
+        if tiered {
+            materialize_frontier(
+                &mut cache,
+                &next_level,
+                &result.fds,
+                &result.keys,
+                prune,
+                opts.use_rule2,
+                opts.empty_lhs,
+                all_candidates,
+            );
+        }
+        current = next_level;
+        level += 1;
+    }
+    result.stats.adopt_cache(&cache.stats());
+    result
+}
+
+/// The RHS attribute of lattice edge `al → a_set`.
+fn edge_rhs(a_set: AttrSet, al: AttrSet) -> usize {
+    a_set
+        .minus(al)
+        .max_attr()
+        .expect("al = a_set minus one attribute")
+}
+
+/// One node under the tiered kernel: exact candidate errors first (O(1)
+/// from either cache tier after the frontier pass), then one error-only
+/// product for the node, exiting early once its error provably drops below
+/// every candidate's (Lemma 2: all edges fail, and error ≥ 1 rules out a
+/// key). A failing edge of a target-creating pass builds its target from
+/// the full `Π_{A_L}` plus the RHS *base* group map — never from the node
+/// product. Returns whether `a_set` is a key.
+fn tiered_node(
+    cache: &mut PartitionCache,
+    a_set: AttrSet,
+    cands: &[AttrSet],
+    fds: &mut Vec<IntraFd>,
+    opts: &IntraOptions,
+    mut targets: Option<&mut TargetContext<'_>>,
+) -> bool {
+    let cand_errors: Vec<usize> = cands
+        .iter()
+        .map(|&al| candidate_error(cache, al, fds, &opts.prune, opts.use_rule2, opts.empty_lhs))
+        .collect();
+    let bound = cand_errors.iter().copied().min();
+    let node_error = match ensure_summary(cache, a_set, cands, bound) {
+        ErrorOnlyProduct::Exact(s) if s.error == 0 => return true,
+        ErrorOnlyProduct::Exact(s) => Some(s.error),
+        ErrorOnlyProduct::BelowBound => None,
+    };
+    for (&al, &e) in cands.iter().zip(&cand_errors) {
+        let rhs = edge_rhs(a_set, al);
+        if node_error == Some(e) {
+            fds.push(IntraFd { lhs: al, rhs });
+        } else if let Some(t) = targets.as_deref_mut().filter(|t| t.propagates()) {
+            if cache.get(al).is_none() {
+                let al_cands = candidate_lhs(al, fds, &opts.prune, opts.use_rule2, opts.empty_lhs);
+                ensure_full(cache, al, &al_cands);
+            }
+            let pl = cache.get(al).expect("ensured full");
+            let base = cache
+                .get(AttrSet::single(rhs))
+                .expect("base partition resident");
+            t.edge_failed_from_base(rhs, al, pl, base);
         }
     }
-    cache.absorb_stats(&stats);
+    false
+}
+
+/// One node under the materializing kernel: build `Π_{a_set}`, then test
+/// every candidate edge by refinement (Lemma 1). With `targets`, a key node
+/// completes incoming targets, a non-key node checks them, and failing
+/// edges create outgoing ones. Returns whether `a_set` is a key.
+fn materialized_node(
+    cache: &mut PartitionCache,
+    a_set: AttrSet,
+    cands: &[AttrSet],
+    fds: &mut Vec<IntraFd>,
+    mut targets: Option<&mut TargetContext<'_>>,
+) -> bool {
+    ensure(cache, a_set, cands);
+    let pa = cache.get(a_set).expect("ensured");
+    if pa.is_key() {
+        if let Some(t) = targets {
+            t.key_found(a_set);
+        }
+        return true;
+    }
+    if let Some(t) = targets.as_deref_mut() {
+        t.check_incoming(a_set, pa);
+    }
+    // Pin `Π_{a_set}` outside the cache while the candidates are refolded:
+    // under a byte budget those inserts could otherwise evict it mid-node.
+    let pa = cache.take(a_set).expect("ensured");
+    for &al in cands {
+        ensure(cache, al, &[]);
+        let pl = cache.get(al).expect("just ensured");
+        let rhs = edge_rhs(a_set, al);
+        if pl.same_as_refining(&pa) {
+            fds.push(IntraFd { lhs: al, rhs });
+        } else if let Some(t) = targets.as_deref_mut().filter(|t| t.propagates()) {
+            t.edge_failed(rhs, al, pl, &pa);
+        }
+    }
+    cache.adopt(a_set, pa);
+    false
 }
 
 #[cfg(test)]
@@ -518,49 +558,6 @@ mod tests {
         let fds = [fd(&[1], 2)];
         let cands = candidate_lhs(AttrSet::from_iter([1, 2]), &fds, &prune, true, true);
         assert_eq!(cands.len(), 2);
-    }
-
-    #[test]
-    fn precompute_level_warms_the_cache_for_sequential_replay() {
-        use xfd_partition::Partition;
-        let cols: Vec<Vec<Option<u64>>> = vec![
-            vec![Some(1), Some(1), Some(2), Some(2), Some(3)],
-            vec![Some(5), Some(5), Some(6), Some(6), Some(7)],
-            vec![Some(1), Some(2), Some(1), Some(2), Some(1)],
-            vec![Some(4), Some(4), Some(4), Some(9), Some(9)],
-        ];
-        let mut warm = PartitionCache::new();
-        let mut cold = PartitionCache::new();
-        for c in [&mut warm, &mut cold] {
-            c.insert(AttrSet::empty(), Partition::universal(5));
-            for (i, col) in cols.iter().enumerate() {
-                c.insert(AttrSet::single(i), Partition::from_column(col));
-            }
-        }
-        // Level 2: all pairs.
-        let nodes: Vec<AttrSet> = (0..4)
-            .flat_map(|a| (a + 1..4).map(move |b| AttrSet::from_iter([a, b])))
-            .collect();
-        let prune = PruneConfig::default();
-        precompute_level(&mut warm, &nodes, &[], &[], &prune, true, true, 3);
-        // Every node the replay will ensure is already resident, with the
-        // exact value a sequential build produces.
-        for &node in &nodes {
-            let cands = candidate_lhs(node, &[], &prune, true, true);
-            ensure(&mut cold, node, &cands);
-            assert_eq!(
-                warm.get(node).expect("precomputed"),
-                cold.get(node).expect("ensured"),
-                "partition for {node:?} differs"
-            );
-        }
-        // The replay over a warm cache computes zero further products.
-        let before = warm.stats().products;
-        for &node in &nodes {
-            let cands = candidate_lhs(node, &[], &prune, true, true);
-            ensure(&mut warm, node, &cands);
-        }
-        assert_eq!(warm.stats().products, before);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! existing ones, so an unchanged relation re-encodes to byte-identical
 //! cells and its cached pass replays verbatim. A fingerprint mismatch
 //! merely forces a recompute; output never differs from
-//! [`discover_forest`](crate::xfd::discover_forest) on the same forest
-//! (waves merge in the same order, then the same minimization runs).
+//! [`discover_forest`](crate::xfd::discover_forest) on the same forest,
+//! which is this module's wave scheduler run without a memo.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -194,6 +194,32 @@ impl RelationMemo {
         self.resident_bytes = 0;
     }
 
+    /// Account one relation pass of the current run: a hit refreshes its
+    /// entry's recency, a miss files the freshly computed output.
+    fn record(&mut self, key: u128, cached: bool, output: &RelationOutput) {
+        self.tick += 1;
+        if cached {
+            self.hits += 1;
+            if let Some(entry) = self.entries.get_mut(&key) {
+                entry.generation = self.generation;
+                entry.last_used = self.tick;
+            }
+        } else {
+            self.misses += 1;
+            let bytes = approx_output_bytes(output);
+            self.resident_bytes += bytes;
+            self.entries.insert(
+                key,
+                MemoEntry {
+                    generation: self.generation,
+                    last_used: self.tick,
+                    bytes,
+                    output: output.clone(),
+                },
+            );
+        }
+    }
+
     /// Evict least-recently-used entries until the budget is met. Entries
     /// of generations before the current run go first (they can only hit
     /// again if the exact corpus state recurs); current-generation entries
@@ -278,10 +304,6 @@ fn config_fingerprint(config: &DiscoveryConfig, d: &mut ContentDigest) {
     d.update_u64(config.max_partition_targets as u64);
     d.update_u64(config.cache_budget.map_or(u64::MAX, |b| b as u64));
     d.update_u64(config.error_only_kernel as u64);
-    // Thread count never changes *discovered* FDs/keys, but speculative
-    // level-precompute does show in the work counters the report renders;
-    // keying on it keeps replayed stats byte-identical too.
-    d.update_u64(config.effective_threads() as u64);
 }
 
 /// Absorb the forest skeleton: ids, parent edges and pivots of every
@@ -375,11 +397,7 @@ pub struct WaveTask {
     /// incoming targets): a globally stable task identity the cluster
     /// layer partitions and logs by.
     pub key: u128,
-    /// Threads handed to the intra-level precompute (1 inside parallel
-    /// waves). Part of the task because the precompute split shows in the
-    /// pass's work counters, which the report renders.
-    pub intra_threads: usize,
-    incoming: Vec<PartitionTarget>,
+    pub(crate) incoming: Vec<PartitionTarget>,
 }
 
 impl WaveTask {
@@ -388,7 +406,6 @@ impl WaveTask {
         let mut out = Vec::with_capacity(64);
         crate::wire::put_u32(&mut out, self.rel.0);
         crate::wire::put_u128(&mut out, self.key);
-        crate::wire::put_usize(&mut out, self.intra_threads);
         crate::wire::put_usize(&mut out, self.incoming.len());
         for t in &self.incoming {
             crate::wire::put_target(&mut out, t);
@@ -401,19 +418,13 @@ impl WaveTask {
         let mut r = crate::wire::Reader::new(bytes);
         let rel = RelId(r.u32()?);
         let key = r.u128()?;
-        let intra_threads = r.usize()?;
         let n = r.len(20)?;
         let mut incoming = Vec::with_capacity(n);
         for _ in 0..n {
             incoming.push(crate::wire::read_target(&mut r)?);
         }
         r.finish()?;
-        Ok(WaveTask {
-            rel,
-            key,
-            intra_threads,
-            incoming,
-        })
+        Ok(WaveTask { rel, key, incoming })
     }
 }
 
@@ -426,13 +437,7 @@ impl WaveTask {
 /// The relation id must be in range — callers validate tasks against the
 /// forest they hold (the cluster worker checks `rel` before dispatch).
 pub fn run_task(forest: &Forest, config: &DiscoveryConfig, task: &WaveTask) -> Vec<u8> {
-    let out = process_relation(
-        forest,
-        task.rel,
-        task.incoming.clone(),
-        config,
-        task.intra_threads,
-    );
+    let out = process_relation(forest, task.rel, task.incoming.clone(), config);
     crate::wire::encode_output(&out)
 }
 
@@ -461,7 +466,8 @@ pub trait PassRunner {
 /// One relation of the current wave, fingerprinted up front.
 struct WaveItem {
     rel: RelId,
-    key: u128,
+    /// Memo fingerprint; `None` when the run fingerprints nothing.
+    key: Option<u128>,
     /// Replayed output for memo hits; filled in later for misses.
     result: Option<RelationOutput>,
     cached: bool,
@@ -472,14 +478,13 @@ struct WaveJob {
     /// Index into the wave's `WaveItem` list.
     item: usize,
     rel: RelId,
-    key: u128,
+    key: Option<u128>,
     incoming: Vec<PartitionTarget>,
 }
 
-/// Run the queued misses of one wave on a scoped worker pool, one thread
-/// per pass (mirroring `discover_forest`'s split), and return each output
-/// keyed by its wave-item index. A panicking pass propagates out of the
-/// scope exactly like a panicking `discover_forest` worker would.
+/// Run the queued misses of one wave on a scoped worker pool draining a
+/// shared work queue, and return each output keyed by its wave-item index.
+/// A panicking pass propagates out of the pool.
 fn run_jobs_pooled(
     forest: &Forest,
     config: &DiscoveryConfig,
@@ -496,8 +501,7 @@ fn run_jobs_pooled(
                     loop {
                         let j = queue.fetch_add(1, Ordering::Relaxed);
                         let Some(job) = jobs.get(j) else { break };
-                        let out =
-                            process_relation(forest, job.rel, job.incoming.clone(), config, 1);
+                        let out = process_relation(forest, job.rel, job.incoming.clone(), config);
                         done.push((job.item, out));
                     }
                     done
@@ -515,22 +519,19 @@ fn run_jobs_pooled(
 }
 
 /// [`discover_forest`](crate::xfd::discover_forest) with a relation-pass
-/// memo and a progress callback. Each wave is fingerprinted up front (a
-/// wave member's parent lies in a shallower wave, so its incoming targets
-/// are final when the wave starts); memo hits replay immediately and
-/// bypass the queue, while the misses of a multi-relation wave drain from
-/// a shared work queue on a `std::thread::scope` pool, one thread per pass
-/// — the same split `discover_forest` uses, which its
-/// parallel-equals-sequential invariant keeps byte-identical. Results
-/// merge in wave order, so output and work counters never depend on the
-/// thread count. The callback fires once per relation, deepest wave first.
+/// memo and a progress callback. Memo hits replay immediately and bypass
+/// the queue; the misses of a multi-relation wave drain from a shared work
+/// queue on a pool of [`DiscoveryConfig::effective_threads`] workers.
+/// Results merge in wave order, so output and work counters never depend
+/// on the thread count. The callback fires once per relation, deepest wave
+/// first.
 pub fn discover_forest_memo(
     forest: &Forest,
     config: &DiscoveryConfig,
     memo: &mut RelationMemo,
     progress: impl FnMut(RelationProgress<'_>),
 ) -> ForestDiscovery {
-    discover_forest_memo_with(forest, config, memo, progress, None)
+    schedule_waves(forest, config, Some(memo), progress, None)
 }
 
 /// [`discover_forest_memo`] with an optional [`PassRunner`] executing each
@@ -544,13 +545,36 @@ pub fn discover_forest_memo_with(
     forest: &Forest,
     config: &DiscoveryConfig,
     memo: &mut RelationMemo,
+    progress: impl FnMut(RelationProgress<'_>),
+    runner: Option<&mut dyn PassRunner>,
+) -> ForestDiscovery {
+    schedule_waves(forest, config, Some(memo), progress, runner)
+}
+
+/// The one wave scheduler behind every forest traversal. Waves run
+/// deepest-first; each is fingerprinted up front (a wave member's parent
+/// lies in a shallower wave, so its incoming targets are final when the
+/// wave starts). Misses go to the runner when one is installed; else a
+/// wave's misses run on the pool when there are several of them and
+/// several threads, and on the caller's thread otherwise. Without a memo
+/// and a runner nothing is fingerprinted: the keys would go unused, and
+/// hashing every cell is real cost on large relations.
+pub(crate) fn schedule_waves(
+    forest: &Forest,
+    config: &DiscoveryConfig,
+    mut memo: Option<&mut RelationMemo>,
     mut progress: impl FnMut(RelationProgress<'_>),
     mut runner: Option<&mut dyn PassRunner>,
 ) -> ForestDiscovery {
-    memo.generation += 1;
-    let mut base = ContentDigest::new();
-    config_fingerprint(config, &mut base);
-    skeleton_fingerprint(forest, &mut base);
+    let base = (memo.is_some() || runner.is_some()).then(|| {
+        let mut d = ContentDigest::new();
+        config_fingerprint(config, &mut d);
+        skeleton_fingerprint(forest, &mut d);
+        d
+    });
+    if let Some(memo) = memo.as_deref_mut() {
+        memo.generation += 1;
+    }
 
     let mut out = ForestDiscovery {
         relations: Vec::with_capacity(forest.relations.len()),
@@ -559,52 +583,39 @@ pub fn discover_forest_memo_with(
         lattice_stats: RunStats::default(),
         target_stats: TargetStats::default(),
     };
+    // Incoming partition targets per relation, pairs in that relation's
+    // tuple space.
     let mut inbox: HashMap<RelId, Vec<PartitionTarget>> = HashMap::new();
     let (depth, waves) = relation_waves(forest);
     let threads = config.effective_threads();
 
     for wave in waves.into_iter().rev() {
-        // Mirror `discover_forest`'s thread split: a multi-relation wave
-        // hands each relation pass one thread (they run in parallel), a
-        // single-relation wave hands all threads to the intra-level
-        // precompute. Matching it exactly keeps even the work counters
-        // identical to the unmemoized traversal.
-        let parallel_wave = threads > 1 && wave.len() > 1;
-        let intra_threads = if parallel_wave { 1 } else { threads };
-
         // Fingerprint the whole wave, replaying hits as they surface.
         let mut items: Vec<WaveItem> = Vec::with_capacity(wave.len());
         let mut jobs: Vec<WaveJob> = Vec::new();
         for rel_id in wave {
             let incoming = inbox.remove(&rel_id).unwrap_or_default();
-            let key = relation_fingerprint(forest, rel_id, &incoming, base);
-            match memo.entries.get(&key) {
-                Some(entry) => items.push(WaveItem {
+            let key = base.map(|b| relation_fingerprint(forest, rel_id, &incoming, b));
+            let hit = match (key, memo.as_deref()) {
+                (Some(k), Some(memo)) => memo.entries.get(&k).map(|e| e.output.clone()),
+                _ => None,
+            };
+            if hit.is_none() {
+                jobs.push(WaveJob {
+                    item: items.len(),
                     rel: rel_id,
                     key,
-                    result: Some(entry.output.clone()),
-                    cached: true,
-                }),
-                None => {
-                    jobs.push(WaveJob {
-                        item: items.len(),
-                        rel: rel_id,
-                        key,
-                        incoming,
-                    });
-                    items.push(WaveItem {
-                        rel: rel_id,
-                        key,
-                        result: None,
-                        cached: false,
-                    });
-                }
+                    incoming,
+                });
             }
+            items.push(WaveItem {
+                rel: rel_id,
+                key,
+                cached: hit.is_some(),
+                result: hit,
+            });
         }
 
-        // Compute the misses — dispatched to the runner when one is
-        // installed, else pooled when the wave itself would have run in
-        // parallel and there is more than one pass to run.
         let mut computed: HashMap<usize, RelationOutput> = match runner.as_deref_mut() {
             Some(r) if !jobs.is_empty() => {
                 let item_of: Vec<usize> = jobs.iter().map(|j| j.item).collect();
@@ -612,8 +623,8 @@ pub fn discover_forest_memo_with(
                     .drain(..)
                     .map(|job| WaveTask {
                         rel: job.rel,
-                        key: job.key,
-                        intra_threads,
+                        // Always fingerprinted: a runner is installed.
+                        key: job.key.unwrap_or_default(),
                         incoming: job.incoming,
                     })
                     .collect();
@@ -629,13 +640,7 @@ pub fn discover_forest_memo_with(
                         .filter(|out| out.local.rel == task.rel);
                     let out = match decoded {
                         Some(out) => out,
-                        None => process_relation(
-                            forest,
-                            task.rel,
-                            task.incoming,
-                            config,
-                            task.intra_threads,
-                        ),
+                        None => process_relation(forest, task.rel, task.incoming, config),
                     };
                     if let Some(&item) = item_of.get(i) {
                         done.insert(item, out);
@@ -643,14 +648,13 @@ pub fn discover_forest_memo_with(
                 }
                 done
             }
-            _ if parallel_wave && jobs.len() > 1 => {
+            _ if threads > 1 && jobs.len() > 1 => {
                 run_jobs_pooled(forest, config, &jobs, threads.min(jobs.len()))
             }
             _ => jobs
                 .drain(..)
                 .map(|job| {
-                    let out =
-                        process_relation(forest, job.rel, job.incoming, config, intra_threads);
+                    let out = process_relation(forest, job.rel, job.incoming, config);
                     (job.item, out)
                 })
                 .collect(),
@@ -661,32 +665,14 @@ pub fn discover_forest_memo_with(
         // threads) the passes ran.
         for (idx, item) in items.into_iter().enumerate() {
             let rel_id = item.rel;
-            memo.tick += 1;
             let mut result = match item.result.or_else(|| computed.remove(&idx)) {
                 Some(r) => r,
                 // Unreachable: every item is either a replayed hit or a
                 // queued job whose output landed under its index.
                 None => continue,
             };
-            if item.cached {
-                memo.hits += 1;
-                if let Some(entry) = memo.entries.get_mut(&item.key) {
-                    entry.generation = memo.generation;
-                    entry.last_used = memo.tick;
-                }
-            } else {
-                memo.misses += 1;
-                let bytes = approx_output_bytes(&result);
-                memo.resident_bytes += bytes;
-                memo.entries.insert(
-                    item.key,
-                    MemoEntry {
-                        generation: memo.generation,
-                        last_used: memo.tick,
-                        bytes,
-                        output: result.clone(),
-                    },
-                );
+            if let (Some(memo), Some(key)) = (memo.as_deref_mut(), item.key) {
+                memo.record(key, item.cached, &result);
             }
             progress(RelationProgress {
                 rel: rel_id,
@@ -718,8 +704,11 @@ pub fn discover_forest_memo_with(
                 inbox.entry(parent).or_default().extend(outgoing);
             }
         }
-        memo.enforce_budget();
+        if let Some(memo) = memo.as_deref_mut() {
+            memo.enforce_budget();
+        }
     }
+    // Relations were collected bottom-up; restore forest order.
     out.relations.sort_by_key(|r| r.rel);
     minimize_inter(&mut out);
     out
@@ -799,7 +788,6 @@ mod tests {
     fn memoized_parallel_config_matches_plain_run_including_stats() {
         let forest = forest_of(DOC);
         let config = DiscoveryConfig {
-            parallel: true,
             threads: 2,
             ..Default::default()
         };
@@ -855,7 +843,6 @@ mod tests {
         let serial = discover_forest_memo(&forest, &serial_cfg, &mut serial_memo, |_| {});
         for threads in [2usize, 8] {
             let config = DiscoveryConfig {
-                parallel: true,
                 threads,
                 ..Default::default()
             };
@@ -867,14 +854,20 @@ mod tests {
                 assert!(p.cached, "{} recomputed on warm pooled run", p.name);
             });
             assert_same(&cold, &warm);
-            // Discovered artifacts are thread-count independent.
-            assert_eq!(serial.inter_fds, cold.inter_fds);
-            assert_eq!(serial.inter_keys, cold.inter_keys);
-            for (a, b) in serial.relations.iter().zip(cold.relations.iter()) {
-                assert_eq!(a.fds, b.fds);
-                assert_eq!(a.keys, b.keys);
-            }
+            // Discovery, work counters included, is thread-count
+            // independent.
+            assert_same(&serial, &cold);
         }
+        // So memo entries carry no thread count: a memo warmed
+        // sequentially replays every pass of a pooled run.
+        let pooled = DiscoveryConfig {
+            threads: 4,
+            ..Default::default()
+        };
+        let warm = discover_forest_memo(&forest, &pooled, &mut serial_memo, |p| {
+            assert!(p.cached, "{} recomputed at threads 4", p.name);
+        });
+        assert_same(&serial, &warm);
     }
 
     #[test]
@@ -968,7 +961,6 @@ mod tests {
         for config in [
             DiscoveryConfig::default(),
             DiscoveryConfig {
-                parallel: true,
                 threads: 4,
                 ..Default::default()
             },
@@ -1028,7 +1020,6 @@ mod tests {
                                 let forged = WaveTask {
                                     rel: RelId(other as u32),
                                     key: 0,
-                                    intra_threads: 1,
                                     incoming: Vec::new(),
                                 };
                                 Some(run_task(forest, config, &forged))

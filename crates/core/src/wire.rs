@@ -157,10 +157,9 @@ fn opt_usize(r: &mut Reader<'_>) -> Result<Option<usize>, WireError> {
     }
 }
 
-/// Serialize a full [`DiscoveryConfig`]. The coordinator resolves
-/// `threads` before encoding (see the cluster crate), so auto-detection
-/// never runs twice; everything else ships verbatim — the worker's pass
-/// must read exactly the configuration the coordinator fingerprinted.
+/// Serialize a full [`DiscoveryConfig`]. Every field ships verbatim — the
+/// worker's pass must read exactly the configuration the coordinator
+/// fingerprinted.
 pub fn encode_config(config: &DiscoveryConfig) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.push(match config.encode.set_columns {
@@ -186,7 +185,6 @@ pub fn encode_config(config: &DiscoveryConfig) -> Vec<u8> {
     put_bool(&mut out, config.prune.key_prune);
     put_usize(&mut out, config.max_partition_targets);
     put_bool(&mut out, config.keep_uninteresting);
-    put_bool(&mut out, config.parallel);
     put_usize(&mut out, config.threads);
     put_opt_usize(&mut out, config.cache_budget);
     put_bool(&mut out, config.error_only_kernel);
@@ -231,7 +229,6 @@ pub fn decode_config(bytes: &[u8]) -> Result<DiscoveryConfig, WireError> {
         },
         max_partition_targets: r.usize()?,
         keep_uninteresting: r.bool()?,
-        parallel: r.bool()?,
         threads: r.usize()?,
         cache_budget: opt_usize(&mut r)?,
         error_only_kernel: r.bool()?,
@@ -498,7 +495,6 @@ mod tests {
                 },
                 max_partition_targets: 7,
                 keep_uninteresting: true,
-                parallel: true,
                 threads: 4,
                 cache_budget: Some(1 << 20),
                 error_only_kernel: false,
@@ -508,6 +504,10 @@ mod tests {
             let bytes = encode_config(config);
             let back = decode_config(&bytes).expect("round-trip");
             assert_eq!(format!("{config:?}"), format!("{back:?}"));
+            // Every strict prefix errors; none panics.
+            for cut in 0..bytes.len() {
+                assert!(decode_config(&bytes[..cut]).is_err(), "prefix {cut}");
+            }
         }
         assert!(decode_config(&[]).is_err());
         let mut trailing = encode_config(&DiscoveryConfig::default());
@@ -601,6 +601,24 @@ mod tests {
             let mut dirty = bytes.clone();
             dirty[i] ^= 0xff;
             let _ = decode_output(&dirty);
+        }
+
+        // The task that ships the same target down to a worker: same
+        // guarantees.
+        let task = crate::memo::WaveTask {
+            rel: RelId(1),
+            key: 0xfeed_beef,
+            incoming: out.outgoing.clone(),
+        };
+        let bytes = task.encode_bytes();
+        let back = crate::memo::WaveTask::decode_bytes(&bytes).expect("task round-trip");
+        assert_eq!((back.rel, back.key), (task.rel, task.key));
+        assert_eq!(back.encode_bytes(), bytes);
+        for cut in 0..bytes.len() {
+            assert!(
+                crate::memo::WaveTask::decode_bytes(&bytes[..cut]).is_err(),
+                "task prefix {cut}"
+            );
         }
     }
 }

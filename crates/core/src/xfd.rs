@@ -5,15 +5,12 @@
 
 use std::collections::HashMap;
 
-use xfd_partition::{AttrSet, ErrorOnlyProduct, GroupMap, Partition, PartitionCache};
+use xfd_partition::{AttrSet, GroupMap, Partition, Tuple};
 use xfd_relation::{Forest, RelId};
 
 use crate::config::DiscoveryConfig;
-use crate::intra::RunStats;
-use crate::lattice::{
-    candidate_error, candidate_lhs, ensure, ensure_full, ensure_summary, materialize_frontier,
-    precompute_level, IntraFd,
-};
+use crate::intra::{IntraOptions, RunStats};
+use crate::lattice::{discover_levels, IntraFd};
 use crate::target::{
     create_target, create_target_from_base, update_target, CreateOutcome, PartitionTarget,
 };
@@ -90,100 +87,13 @@ pub(crate) struct RelationOutput {
     pub(crate) outgoing: Vec<PartitionTarget>,
 }
 
-/// Run `DiscoverXFD` over an encoded forest. With
-/// [`DiscoveryConfig::parallel`], independent relations (same depth in the
-/// relation tree) are processed on scoped worker threads; results are
-/// merged in relation order, so the output is identical either way.
+/// Run `DiscoverXFD` over an encoded forest: the wave scheduler of
+/// [`crate::memo`] with no memo, no pass runner and no progress callback.
+/// With [`DiscoveryConfig::threads`] above 1, the relations of one wave
+/// (same depth in the relation tree) run on a worker pool; results merge
+/// in relation order, so the output is identical at any thread count.
 pub fn discover_forest(forest: &Forest, config: &DiscoveryConfig) -> ForestDiscovery {
-    let mut out = ForestDiscovery {
-        relations: Vec::with_capacity(forest.relations.len()),
-        inter_fds: Vec::new(),
-        inter_keys: Vec::new(),
-        lattice_stats: RunStats::default(),
-        target_stats: TargetStats::default(),
-    };
-    // Incoming partition targets per relation, pairs in that relation's
-    // tuple space.
-    let mut inbox: HashMap<RelId, Vec<PartitionTarget>> = HashMap::new();
-
-    let (_, waves) = relation_waves(forest);
-
-    let threads = config.effective_threads();
-    for wave in waves.into_iter().rev() {
-        let jobs: Vec<(RelId, Vec<PartitionTarget>)> = wave
-            .into_iter()
-            .map(|rel_id| (rel_id, inbox.remove(&rel_id).unwrap_or_default()))
-            .collect();
-        // Two parallelism axes sharing one thread pool: a wave with several
-        // relations splits them over at most `threads` workers (each
-        // relation pass then sequential inside); a wave with one relation
-        // runs on the caller's thread and hands all `threads` workers to
-        // the per-level partition precompute. Either way results are
-        // bit-identical to sequential, so splitting adaptively is safe.
-        let results: Vec<RelationOutput> = if threads > 1 && jobs.len() > 1 {
-            let chunk_size = jobs.len().div_ceil(threads);
-            let mut chunks: Vec<Vec<(RelId, Vec<PartitionTarget>)>> = Vec::new();
-            let mut it = jobs.into_iter();
-            loop {
-                let chunk: Vec<_> = it.by_ref().take(chunk_size).collect();
-                if chunk.is_empty() {
-                    break;
-                }
-                chunks.push(chunk);
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .into_iter()
-                                .map(|(rel_id, incoming)| {
-                                    process_relation(forest, rel_id, incoming, config, 1)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("relation worker"))
-                    .collect()
-            })
-        } else {
-            jobs.into_iter()
-                .map(|(rel_id, incoming)| {
-                    process_relation(forest, rel_id, incoming, config, threads)
-                })
-                .collect()
-        };
-        for mut result in results {
-            let rel_id = result.local.rel;
-            out.inter_fds.append(&mut result.inter_fds);
-            out.inter_keys.append(&mut result.inter_keys);
-            out.lattice_stats.absorb(&result.lattice);
-            out.target_stats.created += result.targets.created;
-            out.target_stats.propagated += result.targets.propagated;
-            out.target_stats.dropped_impossible += result.targets.dropped_impossible;
-            out.target_stats.dropped_overflow += result.targets.dropped_overflow;
-            out.relations.push(result.local);
-            if let Some(parent) = forest.relation(rel_id).parent {
-                let mut outgoing = result.outgoing;
-                let room = config
-                    .max_partition_targets
-                    .saturating_sub(inbox.get(&parent).map_or(0, Vec::len));
-                if outgoing.len() > room {
-                    out.target_stats.dropped_overflow += outgoing.len() - room;
-                    outgoing.truncate(room);
-                }
-                inbox.entry(parent).or_default().extend(outgoing);
-            }
-        }
-    }
-    // Relations vector was filled bottom-up; restore forest order.
-    out.relations.sort_by_key(|r| r.rel);
-    minimize_inter(&mut out);
-    out
+    crate::memo::schedule_waves(forest, config, None, |_| {}, None)
 }
 
 /// Group relations by depth in the relation tree into processing waves
@@ -288,395 +198,261 @@ pub(crate) fn minimize_inter(out: &mut ForestDiscovery) {
 
 /// Process one relation: intra discovery, partition-target checks, target
 /// creation. Returns the targets bound for the parent relation (pairs in
-/// the parent's tuple space). `intra_threads > 1` precomputes each lattice
-/// level's partitions on scoped workers (output is unchanged; see
-/// `crate::lattice::precompute_level`).
+/// the parent's tuple space).
 pub(crate) fn process_relation(
     forest: &Forest,
     rel_id: RelId,
-    mut incoming: Vec<PartitionTarget>,
+    incoming: Vec<PartitionTarget>,
     config: &DiscoveryConfig,
-    intra_threads: usize,
 ) -> RelationOutput {
     let rel = forest.relation(rel_id);
-    let n = rel.n_tuples();
-    let has_parent = rel.parent.is_some();
-    let mut out = RelationOutput {
+    // A 0/1-tuple relation (always including the root) has the empty set as
+    // key and no checkable FDs. Incoming targets cannot exist (their pairs
+    // would have collapsed on the way in).
+    debug_assert!(rel.n_tuples() > 1 || incoming.is_empty());
+    let mut targets = TargetContext::new(forest, rel_id, incoming, config);
+    let columns: Vec<&[Option<u64>]> = rel.columns.iter().map(|c| c.cells.as_slice()).collect();
+    let opts = IntraOptions {
+        max_lhs: config.lhs_bound(),
+        prune: config.prune,
+        // candidateLHS2: rule 2 off (an intra-non-minimal edge can still
+        // seed a minimal inter-relation FD).
+        use_rule2: false,
+        empty_lhs: config.empty_lhs,
+        cache_budget: config.cache_budget,
+        error_only_kernel: config.error_only_kernel,
+    };
+    let local = discover_levels(&columns, rel.n_tuples(), &opts, Some(&mut targets));
+    RelationOutput {
         local: RelationDiscovery {
             rel: rel_id,
-            fds: Vec::new(),
-            keys: Vec::new(),
+            fds: local.fds,
+            keys: local.keys,
         },
-        inter_fds: Vec::new(),
-        inter_keys: Vec::new(),
-        lattice: RunStats::default(),
-        targets: TargetStats::default(),
-        outgoing: Vec::new(),
-    };
-
-    if n <= 1 {
-        // A 0/1-tuple relation (always including the root): the empty set
-        // is a key and no FDs are checkable. Incoming targets cannot exist
-        // (their pairs would have collapsed on the way in).
-        out.local.keys.push(AttrSet::empty());
-        debug_assert!(incoming.is_empty());
-        return out;
+        inter_fds: targets.inter_fds,
+        inter_keys: targets.inter_keys,
+        lattice: local.stats,
+        targets: targets.stats,
+        outgoing: targets.outgoing,
     }
+}
 
-    // Self-reference guard: an incoming target that originated below child
-    // relation `c` must not have its LHS extended with this relation's
-    // set-valued column aggregating `c` — that cell *contains* the very
-    // tuples being compared (and would render as a degenerate path).
-    let excluded_col_for = |origin: RelId| -> Option<usize> {
-        let mut cur = origin;
-        loop {
-            let r = forest.relation(cur);
-            match r.parent {
-                Some(p) if p == rel_id => {
-                    return rel.columns.iter().position(|col| col.elem == r.pivot);
+/// The inter-relation side of one relation pass (Figure 9 beyond Figure
+/// 8), driven by [`discover_levels`] at each lattice node: incoming
+/// partition targets are checked against the node partition, and failing
+/// edges become outgoing targets for the parent relation.
+pub(crate) struct TargetContext<'a> {
+    rel_id: RelId,
+    parent_of: &'a [Tuple],
+    incoming: Vec<PartitionTarget>,
+    /// Per incoming target: this relation's set-valued column that
+    /// aggregates the target's origin subtree, if any (see [`Self::new`]).
+    excluded: Vec<Option<usize>>,
+    /// The relation has a parent and inter-relation discovery is on:
+    /// failing edges and partially separated targets move up.
+    propagate: bool,
+    max_partition_targets: usize,
+    /// Lazily built tuple → group maps of the single-attribute *base*
+    /// partitions: a failing edge's partition target is derived from
+    /// `Π_{A_L}` plus the RHS base map (see `create_target_from_base`).
+    rhs_maps: Vec<Option<GroupMap>>,
+    inter_fds: Vec<RawInterFd>,
+    inter_keys: Vec<RawInterKey>,
+    stats: TargetStats,
+    outgoing: Vec<PartitionTarget>,
+}
+
+impl<'a> TargetContext<'a> {
+    fn new(
+        forest: &'a Forest,
+        rel_id: RelId,
+        incoming: Vec<PartitionTarget>,
+        config: &DiscoveryConfig,
+    ) -> Self {
+        let rel = forest.relation(rel_id);
+        // Self-reference guard: an incoming target that originated below
+        // child relation `c` must not have its LHS extended with this
+        // relation's set-valued column aggregating `c` — that cell
+        // *contains* the very tuples being compared (and would render as a
+        // degenerate path).
+        let excluded = incoming
+            .iter()
+            .map(|pt| {
+                let mut cur = pt.origin;
+                loop {
+                    let r = forest.relation(cur);
+                    match r.parent {
+                        Some(p) if p == rel_id => {
+                            return rel.columns.iter().position(|col| col.elem == r.pivot);
+                        }
+                        Some(p) => cur = p,
+                        None => return None,
+                    }
                 }
-                Some(p) => cur = p,
-                None => return None,
+            })
+            .collect();
+        let mut ctx = TargetContext {
+            rel_id,
+            parent_of: &rel.parent_of,
+            incoming,
+            excluded,
+            propagate: rel.parent.is_some() && config.inter_relation,
+            max_partition_targets: config.max_partition_targets,
+            rhs_maps: Vec::new(),
+            inter_fds: Vec::new(),
+            inter_keys: Vec::new(),
+            stats: TargetStats::default(),
+            outgoing: Vec::new(),
+        };
+        // The paper's lines 8–10: every incoming target also propagates with
+        // no local attributes (Π_∅ satisfies nothing), letting higher
+        // ancestors satisfy it alone.
+        if ctx.propagate {
+            for i in 0..ctx.incoming.len() {
+                let pt = &ctx.incoming[i];
+                let up = update_target(
+                    pt,
+                    rel_id,
+                    AttrSet::empty(),
+                    pt.fd_target.clone(),
+                    pt.key_target.clone(),
+                    ctx.parent_of,
+                );
+                ctx.push_update(up);
             }
         }
-    };
+        ctx
+    }
 
-    // The paper's lines 8–10: every incoming target also propagates with no
-    // local attributes (Π_∅ satisfies nothing), letting higher ancestors
-    // satisfy it alone.
-    if has_parent && config.inter_relation {
-        for pt in &incoming {
-            match update_target(
+    /// Incoming targets ride on this relation (the pass then runs the
+    /// materializing kernel).
+    pub(crate) fn has_incoming(&self) -> bool {
+        !self.incoming.is_empty()
+    }
+
+    /// Failing edges become outgoing targets.
+    pub(crate) fn propagates(&self) -> bool {
+        self.propagate
+    }
+
+    fn push_update(&mut self, up: Option<PartitionTarget>) {
+        match up {
+            Some(up) => {
+                self.stats.propagated += 1;
+                self.outgoing.push(up);
+            }
+            None => self.stats.dropped_impossible += 1,
+        }
+    }
+
+    fn push_created(&mut self, outcome: CreateOutcome) {
+        match outcome {
+            CreateOutcome::Target(pt) => {
+                self.stats.created += 1;
+                self.outgoing.push(*pt);
+            }
+            CreateOutcome::Impossible => self.stats.dropped_impossible += 1,
+            CreateOutcome::Overflow => self.stats.dropped_overflow += 1,
+        }
+    }
+
+    /// Figure 9 lines 18–25 (with the Key/FD branches un-swapped, see
+    /// DESIGN.md): a local key satisfies every FD target; the key target is
+    /// satisfied exactly when still valid.
+    pub(crate) fn key_found(&mut self, a_set: AttrSet) {
+        for (i, pt) in self.incoming.iter_mut().enumerate() {
+            if self.excluded[i].is_some_and(|c| a_set.contains(c)) {
+                continue;
+            }
+            emit_for_satisfying_set(
                 pt,
-                rel_id,
-                AttrSet::empty(),
-                pt.fd_target.clone(),
-                pt.key_target.clone(),
-                &rel.parent_of,
-            ) {
-                Some(up) => {
-                    out.targets.propagated += 1;
-                    out.outgoing.push(up);
-                }
-                None => out.targets.dropped_impossible += 1,
-            }
-        }
-    }
-
-    let excluded: Vec<Option<usize>> = incoming
-        .iter()
-        .map(|pt| excluded_col_for(pt.origin))
-        .collect();
-
-    let mut cache = PartitionCache::with_budget(config.cache_budget);
-    cache.insert(AttrSet::empty(), Partition::universal(n));
-    let columns: Vec<&[Option<u64>]> = rel.columns.iter().map(|c| c.cells.as_slice()).collect();
-    for (i, col) in columns.iter().enumerate() {
-        cache.insert_column(AttrSet::single(i), col);
-    }
-
-    let mut stats = RunStats::default();
-    // The tiered kernel applies when no incoming targets ride on this
-    // relation: target checks scan the full node partition anyway (their
-    // `GroupMap` needs it), so relations with incoming targets run the
-    // materializing path unchanged.
-    let tiered = config.error_only_kernel && incoming.is_empty();
-    let inter_targets = has_parent && config.inter_relation;
-    // Lazily built tuple → group maps of the single-attribute *base*
-    // partitions: a failing edge's partition target is derived from
-    // `Π_{A_L}` plus the RHS base map (see `create_target_from_base`),
-    // amortizing the old per-edge O(n) product group map per RHS column.
-    let mut rhs_maps: Vec<Option<GroupMap>> = if tiered && inter_targets {
-        (0..columns.len()).map(|_| None).collect()
-    } else {
-        Vec::new()
-    };
-    let mut current: Vec<AttrSet> = (0..columns.len()).map(AttrSet::single).collect();
-    let mut level = 1usize;
-    while !current.is_empty() {
-        // Level k touches partitions of sizes k and k−1 only; evict the
-        // rest (bar bases) at each boundary, TANE-style.
-        cache.evict_below(level.saturating_sub(2));
-        if intra_threads > 1 && level >= 2 {
-            precompute_level(
-                &mut cache,
-                &current,
-                &out.local.fds,
-                &out.local.keys,
-                &config.prune,
-                false,
-                config.empty_lhs,
-                intra_threads,
-            );
-        }
-        let mut next_level: Vec<AttrSet> = Vec::new();
-        for &a_set in &current {
-            if config.prune.key_prune && out.local.keys.iter().any(|k| k.is_subset_of(a_set)) {
-                stats.nodes_key_skipped += 1;
-                continue;
-            }
-            // candidateLHS2: rule 2 off (an intra-non-minimal edge can still
-            // seed a minimal inter-relation FD).
-            let cands = candidate_lhs(
+                self.rel_id,
                 a_set,
-                &out.local.fds,
-                &config.prune,
-                false,
-                config.empty_lhs,
-            );
-            if a_set.len() > 1 && cands.is_empty() {
-                continue;
-            }
-            stats.nodes_visited += 1;
-            stats.max_level = stats.max_level.max(a_set.len());
-
-            if tiered {
-                // Error-only validation: exact candidate errors (O(1) from
-                // either cache tier after the frontier pass), one error-only
-                // node product with a first-violation early exit, Lemma 2
-                // comparisons on scalars. Failing edges build their
-                // partition target from the full `Π_{A_L}` plus the RHS
-                // *base* group map — never from the node product.
-                let known = cache.error_of(a_set);
-                let (node_error, cand_errors) = match known {
-                    // Node already resident (parallel precompute or a
-                    // frontier pass materialized it).
-                    Some(e) => (Some(e), None),
-                    None => {
-                        let mut errs: Vec<usize> = Vec::with_capacity(cands.len());
-                        for &al in &cands {
-                            errs.push(candidate_error(
-                                &mut cache,
-                                al,
-                                &out.local.fds,
-                                &config.prune,
-                                false,
-                                config.empty_lhs,
-                            ));
-                        }
-                        let bound = errs.iter().copied().min();
-                        let ne = match ensure_summary(&mut cache, a_set, &cands, bound) {
-                            ErrorOnlyProduct::Exact(s) => Some(s.error),
-                            ErrorOnlyProduct::BelowBound => None,
-                        };
-                        (ne, Some(errs))
-                    }
-                };
-                if node_error == Some(0) {
-                    out.local.keys.push(a_set);
-                    continue;
-                }
-                for (idx, &al) in cands.iter().enumerate() {
-                    let e = match &cand_errors {
-                        Some(errs) => errs[idx],
-                        None => candidate_error(
-                            &mut cache,
-                            al,
-                            &out.local.fds,
-                            &config.prune,
-                            false,
-                            config.empty_lhs,
-                        ),
-                    };
-                    let rhs = a_set
-                        .minus(al)
-                        .max_attr()
-                        .expect("al = a_set minus one attribute");
-                    if node_error == Some(e) {
-                        out.local.fds.push(IntraFd { lhs: al, rhs });
-                    } else if inter_targets {
-                        if cache.get(al).is_none() {
-                            let al_cands = candidate_lhs(
-                                al,
-                                &out.local.fds,
-                                &config.prune,
-                                false,
-                                config.empty_lhs,
-                            );
-                            ensure_full(&mut cache, al, &al_cands);
-                        }
-                        if rhs_maps[rhs].is_none() {
-                            let base = cache
-                                .get(AttrSet::single(rhs))
-                                .expect("base partition resident");
-                            rhs_maps[rhs] = Some(GroupMap::new(base));
-                        }
-                        let pl = cache.get(al).expect("ensured full");
-                        let gm = rhs_maps[rhs].as_ref().expect("just built");
-                        match create_target_from_base(
-                            rel_id,
-                            rhs,
-                            al,
-                            pl,
-                            gm,
-                            &rel.parent_of,
-                            config.max_partition_targets,
-                        ) {
-                            CreateOutcome::Target(pt) => {
-                                out.targets.created += 1;
-                                out.outgoing.push(*pt);
-                            }
-                            CreateOutcome::Impossible => out.targets.dropped_impossible += 1,
-                            CreateOutcome::Overflow => out.targets.dropped_overflow += 1,
-                        }
-                    }
-                }
-                if a_set.len() <= config.lhs_bound() {
-                    let last = a_set.max_attr().expect("non-empty node");
-                    for next in last + 1..columns.len() {
-                        let bigger = a_set.insert(next);
-                        if config.prune.key_prune
-                            && out.local.keys.iter().any(|k| k.is_subset_of(bigger))
-                        {
-                            continue;
-                        }
-                        next_level.push(bigger);
-                    }
-                }
-                continue;
-            }
-
-            ensure(&mut cache, a_set, &cands);
-            let pa = cache.get(a_set).expect("ensured");
-            if pa.is_key() {
-                out.local.keys.push(a_set);
-                // Figure 9 lines 18–25 (with the Key/FD branches un-swapped,
-                // see DESIGN.md): a local key satisfies every FD target; the
-                // key target is satisfied exactly when still valid.
-                for (i, pt) in incoming.iter_mut().enumerate() {
-                    if excluded[i].is_some_and(|c| a_set.contains(c)) {
-                        continue;
-                    }
-                    emit_for_satisfying_set(
-                        pt,
-                        rel_id,
-                        a_set,
-                        pt.key_target.is_some(),
-                        &mut out.inter_fds,
-                        &mut out.inter_keys,
-                    );
-                }
-                continue;
-            }
-
-            // Figure 9 lines 26–33: check incoming targets against Π_A.
-            if !incoming.is_empty() {
-                let gm = GroupMap::new(pa);
-                for (i, pt) in incoming.iter_mut().enumerate() {
-                    if excluded[i].is_some_and(|c| a_set.contains(c)) {
-                        continue;
-                    }
-                    if pt.fd_target.satisfied_by(&gm) {
-                        let key_sat = pt
-                            .key_target
-                            .as_ref()
-                            .is_some_and(|kt| kt.satisfied_by(&gm));
-                        emit_for_satisfying_set(
-                            pt,
-                            rel_id,
-                            a_set,
-                            key_sat,
-                            &mut out.inter_fds,
-                            &mut out.inter_keys,
-                        );
-                    } else if has_parent && config.inter_relation && !a_set.is_empty() {
-                        let remaining = pt.fd_target.unsatisfied_under(&gm);
-                        if remaining.len() < pt.fd_target.len() {
-                            // Π_A separated some pairs: propagate the extension.
-                            let rem_key =
-                                pt.key_target.as_ref().map(|kt| kt.unsatisfied_under(&gm));
-                            match update_target(
-                                pt,
-                                rel_id,
-                                a_set,
-                                remaining,
-                                rem_key,
-                                &rel.parent_of,
-                            ) {
-                                Some(up) => {
-                                    out.targets.propagated += 1;
-                                    out.outgoing.push(up);
-                                }
-                                None => out.targets.dropped_impossible += 1,
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Figure 9 lines 34–37: edges — satisfied intra FDs or new targets.
-            // Pin `Π_{a_set}` outside the cache while the candidates are
-            // refolded: under a byte budget those inserts could otherwise
-            // evict it mid-node.
-            let pa = cache.take(a_set).expect("ensured");
-            for &al in &cands {
-                ensure(&mut cache, al, &[]);
-                let pl = cache.get(al).expect("just ensured");
-                let rhs = a_set
-                    .minus(al)
-                    .max_attr()
-                    .expect("al = a_set minus one attribute");
-                if pl.same_as_refining(&pa) {
-                    out.local.fds.push(IntraFd { lhs: al, rhs });
-                } else if has_parent && config.inter_relation {
-                    match create_target(
-                        rel_id,
-                        rhs,
-                        al,
-                        pl,
-                        &pa,
-                        &rel.parent_of,
-                        config.max_partition_targets,
-                    ) {
-                        CreateOutcome::Target(pt) => {
-                            out.targets.created += 1;
-                            out.outgoing.push(*pt);
-                        }
-                        CreateOutcome::Impossible => out.targets.dropped_impossible += 1,
-                        CreateOutcome::Overflow => out.targets.dropped_overflow += 1,
-                    }
-                }
-            }
-            cache.adopt(a_set, pa);
-
-            if a_set.len() <= config.lhs_bound() {
-                let last = a_set.max_attr().expect("non-empty node");
-                for next in last + 1..columns.len() {
-                    let bigger = a_set.insert(next);
-                    if config.prune.key_prune
-                        && out.local.keys.iter().any(|k| k.is_subset_of(bigger))
-                    {
-                        continue;
-                    }
-                    next_level.push(bigger);
-                }
-            }
-        }
-        // Tiered kernel, sequential: materialize exactly the partitions the
-        // next level will use (product operands; with inter-relation
-        // targets, every candidate — failing edges scan their full
-        // `Π_{A_L}`) while this level's operands are still resident. With
-        // `intra_threads > 1` the speculative precompute materializes
-        // everything it touches, so no frontier pass is needed.
-        if tiered && intra_threads <= 1 {
-            materialize_frontier(
-                &mut cache,
-                &next_level,
-                &out.local.fds,
-                &out.local.keys,
-                &config.prune,
-                false,
-                config.empty_lhs,
-                inter_targets,
+                pt.key_target.is_some(),
+                &mut self.inter_fds,
+                &mut self.inter_keys,
             );
         }
-        current = next_level;
-        level += 1;
     }
 
-    stats.adopt_cache(&cache.stats());
-    out.lattice = stats;
-    out
+    /// Figure 9 lines 26–33: check incoming targets against the non-key
+    /// node partition `pa = Π_{a_set}`.
+    pub(crate) fn check_incoming(&mut self, a_set: AttrSet, pa: &Partition) {
+        if self.incoming.is_empty() {
+            return;
+        }
+        let gm = GroupMap::new(pa);
+        for i in 0..self.incoming.len() {
+            if self.excluded[i].is_some_and(|c| a_set.contains(c)) {
+                continue;
+            }
+            let pt = &mut self.incoming[i];
+            if pt.fd_target.satisfied_by(&gm) {
+                let key_sat = pt
+                    .key_target
+                    .as_ref()
+                    .is_some_and(|kt| kt.satisfied_by(&gm));
+                emit_for_satisfying_set(
+                    pt,
+                    self.rel_id,
+                    a_set,
+                    key_sat,
+                    &mut self.inter_fds,
+                    &mut self.inter_keys,
+                );
+            } else if self.propagate && !a_set.is_empty() {
+                let remaining = pt.fd_target.unsatisfied_under(&gm);
+                if remaining.len() < pt.fd_target.len() {
+                    // Π_A separated some pairs: propagate the extension.
+                    let rem_key = pt.key_target.as_ref().map(|kt| kt.unsatisfied_under(&gm));
+                    let up =
+                        update_target(pt, self.rel_id, a_set, remaining, rem_key, self.parent_of);
+                    self.push_update(up);
+                }
+            }
+        }
+    }
+
+    /// Figure 9 lines 34–37, materializing kernel: the failing edge
+    /// `al → rhs` (`pl = Π_{al}`, `pa = Π_{al ∪ {rhs}}`) becomes a target.
+    pub(crate) fn edge_failed(&mut self, rhs: usize, al: AttrSet, pl: &Partition, pa: &Partition) {
+        let outcome = create_target(
+            self.rel_id,
+            rhs,
+            al,
+            pl,
+            pa,
+            self.parent_of,
+            self.max_partition_targets,
+        );
+        self.push_created(outcome);
+    }
+
+    /// [`Self::edge_failed`] for the tiered kernel, which never builds the
+    /// node partition: the target is keyed by the RHS base partition
+    /// `base = Π_{rhs}` instead (same outcome, see `create_target_from_base`).
+    pub(crate) fn edge_failed_from_base(
+        &mut self,
+        rhs: usize,
+        al: AttrSet,
+        pl: &Partition,
+        base: &Partition,
+    ) {
+        if self.rhs_maps.len() <= rhs {
+            self.rhs_maps.resize_with(rhs + 1, || None);
+        }
+        let gm = self.rhs_maps[rhs].get_or_insert_with(|| GroupMap::new(base));
+        let outcome = create_target_from_base(
+            self.rel_id,
+            rhs,
+            al,
+            pl,
+            gm,
+            self.parent_of,
+            self.max_partition_targets,
+        );
+        self.push_created(outcome);
+    }
 }
 
 /// Emit the inter-relation FD or Key completed by attribute set `a_set` of
@@ -989,7 +765,8 @@ mod tests {
         assert_eq!(disc.inter_fds.len(), 2);
     }
 
-    /// Parallel mode must produce byte-identical results.
+    /// Any thread count must produce byte-identical results, work counters
+    /// included.
     #[test]
     fn parallel_equals_sequential() {
         let xml = "<w>\
@@ -1009,21 +786,24 @@ mod tests {
         let schema = infer_schema(&t);
         let forest = encode(&t, &schema, &EncodeConfig::default());
         let seq = discover_forest(&forest, &DiscoveryConfig::default());
-        let par = discover_forest(
-            &forest,
-            &DiscoveryConfig {
-                parallel: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(seq.inter_fds, par.inter_fds);
-        assert_eq!(seq.inter_keys, par.inter_keys);
-        for (a, b) in seq.relations.iter().zip(par.relations.iter()) {
-            assert_eq!(a.rel, b.rel);
-            assert_eq!(a.fds, b.fds);
-            assert_eq!(a.keys, b.keys);
+        for threads in [1, 2, 8] {
+            let par = discover_forest(
+                &forest,
+                &DiscoveryConfig {
+                    threads,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(seq.inter_fds, par.inter_fds);
+            assert_eq!(seq.inter_keys, par.inter_keys);
+            for (a, b) in seq.relations.iter().zip(par.relations.iter()) {
+                assert_eq!(a.rel, b.rel);
+                assert_eq!(a.fds, b.fds);
+                assert_eq!(a.keys, b.keys);
+            }
+            assert_eq!(seq.target_stats, par.target_stats);
+            assert_eq!(seq.lattice_stats, par.lattice_stats, "threads {threads}");
         }
-        assert_eq!(seq.target_stats, par.target_stats);
     }
 
     /// Three levels: an FD that needs the grandparent's attribute.

@@ -26,8 +26,8 @@ fn table() -> impl Strategy<Value = Vec<Vec<Option<u64>>>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Speculative per-level precompute (any thread count) and byte-budget
-    /// eviction never change discovered FDs, keys, or the nodes visited.
+    /// Byte-budget eviction and the materializing kernel never change
+    /// discovered FDs, keys, or the nodes visited.
     #[test]
     fn intra_parallel_and_budget_match_sequential(
         full in table(),
@@ -37,10 +37,10 @@ proptest! {
         let refs: Vec<&[Option<u64>]> = full[..n_cols].iter().map(|c| &c[..n]).collect();
         let seq = discover_intra(&refs, n, &IntraOptions::default());
         for opts in [
-            IntraOptions { threads: 2, ..Default::default() },
-            IntraOptions { threads: 0, ..Default::default() },
             IntraOptions { cache_budget: Some(512), ..Default::default() },
-            IntraOptions { threads: 3, cache_budget: Some(2048), ..Default::default() },
+            IntraOptions { cache_budget: Some(2048), ..Default::default() },
+            IntraOptions { error_only_kernel: false, ..Default::default() },
+            IntraOptions { error_only_kernel: false, cache_budget: Some(512), ..Default::default() },
         ] {
             let got = discover_intra(&refs, n, &opts);
             prop_assert_eq!(&got.fds, &seq.fds, "FDs drifted under {:?}", opts);
@@ -50,8 +50,9 @@ proptest! {
     }
 
     /// Full forest discovery (inter-relation targets included) is
-    /// result-identical between the sequential pass, wave parallelism and
-    /// intra-relation level parallelism, across random generated forests.
+    /// identical, lattice work counters included, at every thread count,
+    /// and result-identical under a byte budget, across random generated
+    /// forests.
     #[test]
     fn forest_parallel_matches_sequential(which in 0u8..3, seed in 0u64..1000) {
         let tree = match which {
@@ -78,9 +79,8 @@ proptest! {
         let schema = infer_schema(&tree);
         let forest = encode(&tree, &schema, &EncodeConfig::default());
         let seq = discover_forest(&forest, &DiscoveryConfig::default());
-        for (threads, cache_budget) in [(2, None), (0, None), (3, Some(8192))] {
+        for (threads, cache_budget) in [(1, None), (2, None), (8, None), (3, Some(8192))] {
             let par = discover_forest(&forest, &DiscoveryConfig {
-                parallel: true,
                 threads,
                 cache_budget,
                 ..Default::default()
@@ -94,6 +94,9 @@ proptest! {
                 prop_assert_eq!(&a.keys, &b.keys);
             }
             prop_assert_eq!(&par.target_stats, &seq.target_stats);
+            if cache_budget.is_none() {
+                prop_assert_eq!(&par.lattice_stats, &seq.lattice_stats, "threads {}", threads);
+            }
         }
     }
 }

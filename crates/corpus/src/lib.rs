@@ -624,9 +624,9 @@ impl CorpusHandle {
     ///    the collection forest, which is itself cached per corpus
     ///    generation so a repeat same-config `discover` skips straight to
     ///    the relation passes.
-    /// 3. **Discover** — the memoized wave traversal; under
-    ///    `config.parallel`, relation passes of one wave run on the worker
-    ///    pool with memo hits bypassing the queue.
+    /// 3. **Discover** — the memoized wave traversal; with more than one
+    ///    thread, relation passes of one wave run on the worker pool with
+    ///    memo hits bypassing the queue.
     ///
     /// Every stage is deterministic in the thread count.
     pub fn discover_with_progress(
@@ -859,7 +859,7 @@ impl CorpusHandle {
         }
     }
 
-    /// Stage 3: the memoized (and, under `config.parallel`, pooled) wave
+    /// Stage 3: the memoized (and, with more than one thread, pooled) wave
     /// traversal plus redundancy analysis. `runner` optionally executes
     /// memo-missing relation passes out of process (the cluster
     /// coordinator); `None` keeps everything local. Output is identical

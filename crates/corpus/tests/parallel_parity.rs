@@ -27,7 +27,6 @@ fn render_stable(r: &RunOutcome) -> String {
 
 fn config_for(threads: usize) -> DiscoveryConfig {
     DiscoveryConfig {
-        parallel: threads > 1,
         threads,
         ..DiscoveryConfig::default()
     }

@@ -10,9 +10,7 @@
 //!
 //! Entries live in [`N_SHARDS`] independent FxHash maps selected by
 //! [`AttrSet::shard`]. Sharding keeps per-map probe chains short on wide
-//! lattices and gives the intra-relation parallel pass (which reads the
-//! cache from several workers between levels) shard-granular structure to
-//! reason about; all mutation still happens on the owning thread.
+//! lattices.
 //!
 //! ## Memory bound and eviction
 //!
@@ -61,22 +59,6 @@ pub struct CacheStats {
     pub early_exits: usize,
     /// Lookups answered from the 16-byte summary tier.
     pub summary_hits: usize,
-}
-
-impl CacheStats {
-    /// Fold counters from another traversal (peak takes the max).
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.partitions_built += other.partitions_built;
-        self.products += other.products;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.peak_resident_bytes = self.peak_resident_bytes.max(other.peak_resident_bytes);
-        self.products_error_only += other.products_error_only;
-        self.products_materialized += other.products_materialized;
-        self.early_exits += other.early_exits;
-        self.summary_hits += other.summary_hits;
-    }
 }
 
 /// A sharded memo table `AttrSet → Partition` with an optional byte budget.
@@ -214,10 +196,9 @@ impl PartitionCache {
         taken
     }
 
-    /// Adopt a partition computed elsewhere (a speculative level worker)
-    /// without bumping `partitions_built` — the worker already counted it
-    /// in the stats it hands back. No-op if `attrs` is already resident,
-    /// so merge order only decides which of two *equal* duplicates stays.
+    /// Put back a partition taken with [`Self::take`] without bumping
+    /// `partitions_built` (it was counted when built). No-op if `attrs` is
+    /// already resident.
     pub fn adopt(&mut self, attrs: AttrSet, partition: Partition) {
         if self.get(attrs).is_none() {
             self.account_insert(attrs, partition);
@@ -422,29 +403,6 @@ impl PartitionCache {
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(FxHashMap::is_empty)
     }
-
-    /// Fold another traversal's counters into this cache's stats (used
-    /// when parallel workers run against scoped caches).
-    pub fn absorb_stats(&mut self, other: &CacheStats) {
-        self.stats.absorb(other);
-    }
-
-    /// Move all entries of `other` into `self` (deterministic: entries are
-    /// keyed, not ordered). Used to merge worker results after a parallel
-    /// level pass.
-    pub fn merge(&mut self, other: PartitionCache) {
-        for shard in other.shards {
-            for (attrs, partition) in shard {
-                if self.get(attrs).is_none() {
-                    self.account_insert(attrs, partition);
-                }
-            }
-        }
-        for (attrs, summary) in other.summaries {
-            self.insert_summary(attrs, summary);
-        }
-        self.stats.absorb(&other.stats);
-    }
 }
 
 #[cfg(test)]
@@ -611,20 +569,5 @@ mod tests {
         assert_eq!(c.summary_of(a.union(b)), None);
         assert_eq!(c.resident_bytes(), resident - SUMMARY_BYTES);
         assert_eq!(c.stats().evictions, 0);
-    }
-
-    #[test]
-    fn merge_prefers_existing_entries_and_folds_stats() {
-        let mut left = PartitionCache::new();
-        let mut right = PartitionCache::new();
-        let a = AttrSet::single(0);
-        let b = AttrSet::single(1);
-        left.insert(a, Partition::universal(4));
-        right.insert(a, Partition::universal(4));
-        right.insert(b, Partition::universal(4));
-        let right_built = right.stats().partitions_built;
-        left.merge(right);
-        assert_eq!(left.len(), 2);
-        assert_eq!(left.stats().partitions_built, 1 + right_built);
     }
 }

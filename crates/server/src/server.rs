@@ -1024,7 +1024,6 @@ fn config_from_query(
                     .parse::<usize>()
                     .map_err(|_| format!("threads: expected an integer, got {value:?}"))?;
                 // Same convention as the CLI: 1 = sequential, 0 = auto.
-                config.parallel = threads != 1;
                 config.threads = threads;
             }
             "sets" => {
@@ -1045,12 +1044,11 @@ fn config_from_query(
         }
     }
     let fingerprint = format!(
-        "cfg1|max_lhs={:?}|inter={}|keep={}|budget={:?}|parallel={}|threads={}|encode={:?}|prune=({},{},{})|targets={}|empty={}",
+        "cfg1|max_lhs={:?}|inter={}|keep={}|budget={:?}|threads={}|encode={:?}|prune=({},{},{})|targets={}|empty={}",
         config.max_lhs_size,
         config.inter_relation,
         config.keep_uninteresting,
         config.cache_budget,
-        config.parallel,
         config.threads,
         config.encode,
         config.prune.rule1,

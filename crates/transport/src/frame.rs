@@ -17,12 +17,17 @@
 //! content-addressed segment-shipping frames (`SegHave`/`SegManifest`/
 //! `SegData`) plus the batched `ForestShip` push, for workers with no
 //! shared filesystem view of the corpus.
+//!
+//! Version 3 changes two payload layouts: the `Plan` config drops its
+//! `parallel` flag (a thread count of 1 now means sequential), and the
+//! `Pass` task drops its per-pass thread count.
 
 use std::io::{self, Read, Write};
 
 /// Protocol version, checked in the `Join` handshake. Bump on any frame
-/// layout change.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// layout change, including the layouts of the `Plan` config and `Pass`
+/// task payloads.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Hard cap on one frame's payload (a partial of a very large segment
 /// stays far below this); anything bigger is a protocol violation, not an
@@ -596,8 +601,19 @@ mod tests {
 
     #[test]
     fn shipping_frame_prefixes_are_errors_too() {
-        // The v2 frames get the same every-prefix guarantee as the rest.
+        // The v2 frames and the frames whose payload layouts changed in v3
+        // get the same every-prefix guarantee as the rest.
         for frame in [
+            Frame::Plan {
+                plan_fp: 5,
+                auth: 6,
+                corpus_dir: "/srv/corpus".into(),
+                config: vec![0, 0, 0, 0, 0, 1, 1, 1, 1, 1],
+            },
+            Frame::Pass {
+                task_id: 3,
+                task: vec![2, 0, 0, 0, 9, 9, 9, 9],
+            },
             Frame::SegHave {
                 digests: vec![7, 8, 9],
             },

@@ -90,7 +90,7 @@ proptest! {
     fn parallel_matches_sequential_on_arbitrary_trees(node in node_strategy()) {
         let tree = build(&node);
         let seq = discover(&tree, &DiscoveryConfig::default());
-        let par = discover(&tree, &DiscoveryConfig { parallel: true, ..Default::default() });
+        let par = discover(&tree, &DiscoveryConfig { threads: 4, ..Default::default() });
         let s: Vec<String> = seq.fds.iter().map(|f| f.to_string()).collect();
         let p: Vec<String> = par.fds.iter().map(|f| f.to_string()).collect();
         prop_assert_eq!(s, p);

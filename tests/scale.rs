@@ -40,7 +40,7 @@ fn big_warehouse_parallel_equals_sequential() {
     let par = discover(
         &tree,
         &DiscoveryConfig {
-            parallel: true,
+            threads: 4,
             ..Default::default()
         },
     );
