@@ -17,9 +17,12 @@
 //! `process_relation` never resolves dictionary strings — it compares
 //! interned cell identifiers only — so equal raw cells imply an identical
 //! pass. Second, the hierarchical encoding is *prefix-stable*: appending a
-//! document appends tuples and dictionary entries without renumbering
-//! existing ones, so an unchanged relation re-encodes to byte-identical
-//! cells and its cached pass replays verbatim. A fingerprint mismatch
+//! document appends tuples, dictionary entries and value classes without
+//! renumbering existing ones (class ids follow document order, see
+//! `xfd_xml::value_eq`), so an unchanged relation re-encodes to
+//! byte-identical cells — `ValueClass` cells included — and its cached
+//! pass replays verbatim. The fingerprint is a word-wise
+//! [`WordDigest`] that absorbs each cell as one `u64`. A fingerprint mismatch
 //! merely forces a recompute; output never differs from
 //! [`discover_forest`](crate::xfd::discover_forest) on the same forest,
 //! which is this module's wave scheduler run without a memo.
@@ -27,7 +30,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use xfd_hash::{ContentDigest, FxHashMap};
+use xfd_hash::{FxHashMap, WordDigest};
 use xfd_partition::{AttrSet, PairSet};
 use xfd_relation::{ColumnKind, Forest, RelId};
 
@@ -276,16 +279,11 @@ fn approx_output_bytes(out: &RelationOutput) -> usize {
     b
 }
 
-fn update_u128(d: &mut ContentDigest, v: u128) {
-    d.update_u64(v as u64);
-    d.update_u64((v >> 64) as u64);
+fn update_attrset(d: &mut WordDigest, s: AttrSet) {
+    d.update_u128(s.bits());
 }
 
-fn update_attrset(d: &mut ContentDigest, s: AttrSet) {
-    update_u128(d, s.bits());
-}
-
-fn update_pairs(d: &mut ContentDigest, pairs: &PairSet) {
+fn update_pairs(d: &mut WordDigest, pairs: &PairSet) {
     d.update_u64(pairs.pairs().len() as u64);
     for &(a, b) in pairs.pairs() {
         d.update_u64(a as u64);
@@ -294,7 +292,7 @@ fn update_pairs(d: &mut ContentDigest, pairs: &PairSet) {
 }
 
 /// Absorb every configuration field `process_relation` reads.
-fn config_fingerprint(config: &DiscoveryConfig, d: &mut ContentDigest) {
+fn config_fingerprint(config: &DiscoveryConfig, d: &mut WordDigest) {
     d.update_u64(config.lhs_bound() as u64);
     d.update_u64(config.inter_relation as u64);
     d.update_u64(config.empty_lhs as u64);
@@ -310,7 +308,7 @@ fn config_fingerprint(config: &DiscoveryConfig, d: &mut ContentDigest) {
 /// relation. The self-reference guard inside `process_relation` walks an
 /// origin's parent chain and compares pivots, so the *whole* skeleton is
 /// part of every relation's key.
-fn skeleton_fingerprint(forest: &Forest, d: &mut ContentDigest) {
+fn skeleton_fingerprint(forest: &Forest, d: &mut WordDigest) {
     d.update_u64(forest.relations.len() as u64);
     for rel in &forest.relations {
         d.update_u64(rel.id.0 as u64);
@@ -320,12 +318,15 @@ fn skeleton_fingerprint(forest: &Forest, d: &mut ContentDigest) {
 }
 
 /// Fingerprint one relation pass: `base` (config + skeleton) extended with
-/// the relation's content and its incoming partition targets.
+/// the relation's content and its incoming partition targets. Each cell is
+/// one word: ⊥ is `u64::MAX`, which no dictionary, class or node id
+/// reaches, and every column's length is absorbed before its cells, so
+/// cell sequences cannot alias.
 fn relation_fingerprint(
     forest: &Forest,
     rel_id: RelId,
     incoming: &[PartitionTarget],
-    base: ContentDigest,
+    base: WordDigest,
 ) -> u128 {
     let rel = forest.relation(rel_id);
     let mut d = base;
@@ -344,15 +345,7 @@ fn relation_fingerprint(
         });
         d.update_u64(col.cells.len() as u64);
         for cell in &col.cells {
-            // Prefix-free cell encoding: None is one word (MAX), Some is a
-            // tag word then the id, so cell sequences cannot alias.
-            match cell {
-                None => d.update_u64(u64::MAX),
-                Some(v) => {
-                    d.update_u64(1);
-                    d.update_u64(*v);
-                }
-            }
+            d.update_u64(cell.unwrap_or(u64::MAX));
         }
     }
     d.update_u64(incoming.len() as u64);
@@ -567,7 +560,7 @@ pub(crate) fn schedule_waves(
     mut runner: Option<&mut dyn PassRunner>,
 ) -> ForestDiscovery {
     let base = (memo.is_some() || runner.is_some()).then(|| {
-        let mut d = ContentDigest::new();
+        let mut d = WordDigest::new();
         config_fingerprint(config, &mut d);
         skeleton_fingerprint(forest, &mut d);
         d

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use discoverxfd::memo::{PassRunner, RelationMemo, RelationProgress};
 use discoverxfd::{discover_prepared_with, DiscoveryConfig, RunOutcome};
 use xfd_relation::treetuple::{decode_tree, encode_tree, DecodeError};
-use xfd_relation::{build_partials, merge_partials, Forest, SegmentPartial};
+use xfd_relation::{build_partials, Forest, ForestMerge, SegmentPartial};
 use xfd_schema::{infer_schema_from_summaries, summarize, Schema, SchemaMap, SchemaSummary};
 use xfd_xml::DataTree;
 
@@ -269,12 +269,14 @@ struct SegCacheEntry {
     partial: Option<(u128, Arc<SegmentPartial>)>,
 }
 
-/// The merged collection forest of one corpus state under one plan.
+/// The merged collection forest under one plan, as a resumable merge: a
+/// corpus change re-merges only the segments after the first one that
+/// changed. `generation` names the corpus state the forest reflects.
 struct ForestCache {
     generation: u64,
     plan_fp: u128,
     schema: Arc<Schema>,
-    forest: Arc<Forest>,
+    merge: ForestMerge,
 }
 
 /// Everything a [`SegmentPartial`] depends on besides the document bytes:
@@ -312,6 +314,7 @@ impl CorpusPlan {
 pub struct PreparedCorpus {
     schema: Arc<Schema>,
     forest: Arc<Forest>,
+    segments_merged: usize,
     infer: Duration,
     merge: Duration,
     encode: Duration,
@@ -326,6 +329,13 @@ impl PreparedCorpus {
     /// The merged collection forest.
     pub fn forest(&self) -> &Arc<Forest> {
         &self.forest
+    }
+
+    /// Segments merged to produce the forest: zero on a cache hit, the
+    /// changed suffix after a corpus change, every segment after a plan
+    /// change.
+    pub fn segments_merged(&self) -> usize {
+        self.segments_merged
     }
 }
 
@@ -621,9 +631,10 @@ impl CorpusHandle {
     /// 2. **Encode** — per-segment [`SegmentPartial`]s (cached by digest +
     ///    plan fingerprint; missing ones built on a scoped worker pool of
     ///    [`DiscoveryConfig::effective_threads`] threads) are merged into
-    ///    the collection forest, which is itself cached per corpus
-    ///    generation so a repeat same-config `discover` skips straight to
-    ///    the relation passes.
+    ///    the collection forest by a resumable [`ForestMerge`] that merges
+    ///    only the segments after the first changed one; a repeat
+    ///    same-config `discover` with no change skips straight to the
+    ///    relation passes.
     /// 3. **Discover** — the memoized wave traversal; with more than one
     ///    thread, relation passes of one wave run on the worker pool with
     ///    memo hits bypassing the queue.
@@ -789,23 +800,21 @@ impl CorpusHandle {
     }
 
     /// Stage 2: the collection forest, from the generation cache when the
-    /// corpus and plan are unchanged, else merged from per-segment
-    /// partials. Partials not prefilled via
+    /// corpus and plan are unchanged. Otherwise the plan's cached
+    /// [`ForestMerge`] rolls back to the longest unchanged prefix of
+    /// segment digests and merges only the rest (all of them after a plan
+    /// change). Partials not prefilled via
     /// [`store_partial`](CorpusHandle::store_partial) are built here on
     /// the in-process worker pool, so a cluster run degrades gracefully to
     /// local encoding when workers die.
     pub fn merged_forest(&mut self, config: &DiscoveryConfig, plan: &CorpusPlan) -> PreparedCorpus {
         let threads = config.effective_threads();
         let t1 = Instant::now();
-        let cached = self
-            .forest_cache
-            .as_ref()
-            .filter(|fc| fc.generation == self.generation && fc.plan_fp == plan.plan_fp)
-            .map(|fc| (fc.schema.clone(), fc.forest.clone()));
         let mut merge_t = Duration::ZERO;
-        let (schema, forest) = match cached {
-            Some(hit) => hit,
-            None => {
+        let mut segments_merged = 0;
+        let cache = match self.forest_cache.take() {
+            Some(fc) if fc.plan_fp == plan.plan_fp && fc.generation == self.generation => fc,
+            cached => {
                 let map = SchemaMap::new(&plan.schema);
                 let mut to_build: Vec<(u128, &DataTree)> = Vec::new();
                 let mut queued: HashSet<u128> = HashSet::new();
@@ -826,37 +835,45 @@ impl CorpusHandle {
                         entry.partial = Some((plan.plan_fp, Arc::new(partial)));
                     }
                 }
-                let parts: Vec<Arc<SegmentPartial>> = self
+                let parts: Vec<(u128, Arc<SegmentPartial>)> = self
                     .docs
                     .iter()
                     .filter_map(|d| {
                         self.seg_cache
                             .get(&d.meta.digest)
                             .and_then(|e| e.partial.as_ref())
-                            .map(|(_, p)| p.clone())
+                            .map(|(_, p)| (d.meta.digest, p.clone()))
                     })
                     .collect();
-                let refs: Vec<&SegmentPartial> = parts.iter().map(Arc::as_ref).collect();
+                let refs: Vec<(u128, &SegmentPartial)> =
+                    parts.iter().map(|(k, p)| (*k, p.as_ref())).collect();
+                // A merge under another plan has nothing to reuse; drop it
+                // before building the new one.
+                let mut cache = cached
+                    .filter(|fc| fc.plan_fp == plan.plan_fp)
+                    .unwrap_or_else(|| ForestCache {
+                        generation: self.generation,
+                        plan_fp: plan.plan_fp,
+                        schema: plan.schema.clone(),
+                        merge: ForestMerge::new(map, &config.encode),
+                    });
                 let tm = Instant::now();
-                let forest = Arc::new(merge_partials(map, &config.encode, &refs, threads));
+                segments_merged = cache.merge.update(&refs);
                 merge_t = tm.elapsed();
-                let schema = plan.schema.clone();
-                self.forest_cache = Some(ForestCache {
-                    generation: self.generation,
-                    plan_fp: plan.plan_fp,
-                    schema: schema.clone(),
-                    forest: forest.clone(),
-                });
-                (schema, forest)
+                cache.generation = self.generation;
+                cache
             }
         };
-        PreparedCorpus {
-            schema,
-            forest,
+        let prepared = PreparedCorpus {
+            schema: cache.schema.clone(),
+            forest: cache.merge.forest().clone(),
+            segments_merged,
             infer: plan.infer,
             merge: merge_t,
             encode: t1.elapsed().saturating_sub(merge_t),
-        }
+        };
+        self.forest_cache = Some(cache);
+        prepared
     }
 
     /// Stage 3: the memoized (and, with more than one thread, pooled) wave

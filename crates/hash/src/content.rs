@@ -10,8 +10,10 @@
 //!
 //! Consumers: the server's result cache (`xfd-server`), which seeds the
 //! state with a configuration fingerprint before streaming the body, and
-//! the corpus store (`xfd-corpus`), which digests segment files and
-//! per-relation states for incremental discovery.
+//! the corpus store (`xfd-corpus`), which digests segment files and the
+//! MANIFEST. These values are stored or shown to clients, so the function
+//! is pinned by a golden test. In-memory fingerprints (relation memo keys,
+//! the cluster's forest check) use the word-wise [`crate::WordDigest`].
 
 use std::io::Read;
 
@@ -167,6 +169,20 @@ mod tests {
     fn different_content_gets_different_digests() {
         assert_ne!(digest_of(&[b"<a/>"]), digest_of(&[b"<b/>"]));
         assert_ne!(digest_of(&[b""]), digest_of(&[b"\0"]));
+    }
+
+    #[test]
+    fn digest_bytes_is_pinned() {
+        // Segment files and MANIFEST entries store this digest; changing
+        // the function would orphan every stored corpus.
+        assert_eq!(
+            format_digest(digest_bytes(b"<shop><book><i>1</i></book></shop>")),
+            "8907f89329df207b929669668b325ac2"
+        );
+        assert_eq!(
+            format_digest(digest_bytes(b"")),
+            "a8c7f832281a39c59ee92ea251c82530"
+        );
     }
 
     #[test]

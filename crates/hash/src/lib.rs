@@ -13,8 +13,10 @@
 //! discovery statistics and stable shard assignment).
 
 pub mod content;
+pub mod word;
 
 pub use content::{digest_bytes, format_digest, parse_digest, ContentDigest, DigestReader};
+pub use word::WordDigest;
 
 use std::hash::{BuildHasherDefault, Hasher};
 

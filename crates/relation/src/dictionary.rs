@@ -72,6 +72,24 @@ impl Dictionary {
         &self.multiset_list[id as usize]
     }
 
+    /// Forget every string interned after the first `strings` and every
+    /// multiset after the first `multisets`; their ids are handed out again
+    /// in the same order.
+    pub fn truncate(&mut self, strings: usize, multisets: usize) {
+        for s in self
+            .string_list
+            .drain(strings.min(self.string_list.len())..)
+        {
+            self.strings.remove(&s);
+        }
+        for m in self
+            .multiset_list
+            .drain(multisets.min(self.multiset_list.len())..)
+        {
+            self.multisets.remove(&m);
+        }
+    }
+
     /// Number of distinct strings.
     pub fn num_strings(&self) -> usize {
         self.string_list.len()
@@ -111,6 +129,19 @@ mod tests {
         assert_ne!(ab, empty);
         assert_eq!(d.resolve_multiset(aab), &[1, 1, 2]);
         assert_eq!(d.num_multisets(), 3);
+    }
+
+    #[test]
+    fn truncate_hands_out_the_same_ids_again() {
+        let mut d = Dictionary::new();
+        d.intern_str("a");
+        d.intern_str("b");
+        d.intern_multiset(vec![1]);
+        d.truncate(1, 0);
+        assert_eq!((d.num_strings(), d.num_multisets()), (1, 0));
+        assert_eq!(d.intern_str("a"), 0);
+        assert_eq!(d.intern_str("c"), 1);
+        assert_eq!(d.intern_multiset(vec![2]), 0);
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub fn encode(tree: &DataTree, schema: &Schema, config: &EncodeConfig) -> Forest
             add_set_columns(
                 &mut relations,
                 &map,
-                classes,
+                |rel, t| classes.class_of(rel.node_keys[t]),
                 &mut dictionary,
                 config.set_columns,
                 config.order,

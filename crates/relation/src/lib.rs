@@ -36,7 +36,7 @@ pub use flat::{flatten, FlatError, FlatRelation};
 pub use relation::{Column, ColumnKind, Forest, ForestStats, RelId, Relation, TupleIdx};
 pub use shard::{
     build_partial, build_partials, decode_partial, encode_collection, encode_partial,
-    forest_fingerprint, merge_partials, SegmentPartial, PARTIAL_MAGIC,
+    forest_fingerprint, merge_partials, ForestMerge, SegmentPartial, PARTIAL_MAGIC,
 };
 pub use treetuple::{decode_tree, encode_tree, trees_equal, DecodeError};
 pub use xfd_xml::OrderMode;

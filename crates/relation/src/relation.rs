@@ -113,7 +113,7 @@ pub struct ForestStats {
 
 /// The full hierarchical representation: relations arranged in a tree
 /// mirroring the nesting of set elements, plus the shared dictionary.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Forest {
     /// Relations in schema DFS order: a parent relation always precedes its
     /// child relations.

@@ -16,7 +16,7 @@
 //! the attribute partition induced by a set element's canonical multisets.
 
 use xfd_schema::SchemaMap;
-use xfd_xml::{EqClasses, OrderMode};
+use xfd_xml::{OrderMode, ValueClassId};
 
 use crate::dictionary::Dictionary;
 use crate::encode::SetColumnMode;
@@ -25,12 +25,13 @@ use crate::relation::{Column, ColumnKind, Relation};
 /// Append set-valued columns to every parent relation, per `mode`.
 ///
 /// `relations` must be in schema DFS order (parents before children), as
-/// produced by the encoder. With [`OrderMode::Ordered`], cells identify
+/// produced by the encoder; `class_of(rel, t)` is the value class of tuple
+/// `t`'s pivot node in `rel`. With [`OrderMode::Ordered`], cells identify
 /// *sequences* of child values rather than multisets.
 pub fn add_set_columns(
     relations: &mut [Relation],
     map: &SchemaMap,
-    classes: &EqClasses,
+    class_of: impl Fn(&Relation, usize) -> ValueClassId,
     dictionary: &mut Dictionary,
     mode: SetColumnMode,
     order: OrderMode,
@@ -51,7 +52,7 @@ pub fn add_set_columns(
         let mut per_parent: Vec<Vec<u64>> = vec![Vec::new(); parent.n_tuples()];
         for t in 0..child.n_tuples() {
             let p = child.parent_of[t] as usize;
-            per_parent[p].push(u64::from(classes.class_of(child.node_keys[t]).0));
+            per_parent[p].push(u64::from(class_of(child, t).0));
         }
         let cells: Vec<Option<u64>> = per_parent
             .into_iter()

@@ -5,51 +5,57 @@
 //! This module produces the **byte-identical** [`Forest`] without ever
 //! materializing the merged tree: each document (*segment*) is encoded
 //! independently into a [`SegmentPartial`] — embarrassingly parallel and
-//! cacheable per segment — and the partials are merged deterministically.
+//! cacheable per segment — and a [`ForestMerge`] appends the partials in
+//! document order.
 //!
-//! Determinism rests on three alignment facts, each mirrored from the
-//! serial pipeline:
+//! Determinism rests on one alignment fact: **every id is assigned in
+//! document order.** Node keys are pre-order ids
+//! (`TreeWriter::copy_subtree`), dictionary ids follow the encoder's DFS
+//! walk, and value-class ids follow post-order first appearance
+//! (`xfd_xml::value_eq`). Each segment's ids therefore follow those of all
+//! earlier segments and depend on no later one. A partial records
+//! segment-local ids; the merge shifts node keys by the segment's node
+//! offset and re-interns strings and re-conses class shapes, segment by
+//! segment. The serial encode of the grafted tree, a full merge and an
+//! incremental merge thus produce the same forest by construction.
 //!
-//! * **Node keys.** `TreeWriter::copy_subtree` assigns pre-order ids, so a
-//!   node's merged id is its segment-local pre-order rank plus the
-//!   segment's node offset (`1 +` the sizes of all earlier segments).
-//!   Partials record ranks; the merge adds offsets.
-//! * **Value classes.** `EqClasses` assigns class ids by first appearance
-//!   in a reverse arena scan, which on the grafted tree visits segments in
-//!   *reverse* order (each in reverse pre-order) and the collection root
-//!   last. Re-consing per-segment [`ClassTable`]s in exactly that order
-//!   reproduces the merged ids verbatim.
-//! * **Dictionary ids.** The serial walk interns strings in document DFS
-//!   order, segment by segment; re-interning each partial's local
-//!   dictionary in id order, in segment order, yields the same dense ids.
-//!   Multiset ids are only created afterwards by
-//!   [`add_set_columns`], which both pipelines share.
+//! The same fact makes the merge resumable. [`ForestMerge`] keeps a mark
+//! per merged segment — node count, tuples per relation, dictionary
+//! strings and classes after it — and, when the corpus changes, truncates
+//! to the longest unchanged prefix of segments and appends only the rest.
+//! Two parts of the forest depend on every segment and are re-derived on
+//! each update: the collection root's single tuple, and the set-valued
+//! columns, added by [`add_set_columns`] exactly as the serial encoder
+//! adds them.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use xfd_schema::{Schema, SchemaMap};
-use xfd_xml::{preorder_of, ClassTable, DataTree, EqClasses, NodeId, OrderMode, ValueClassId};
+use xfd_xml::{preorder_of, DataTree, EqClasses, NodeId, ShapeCons, ValueClassId};
 
 use crate::dictionary::Dictionary;
 use crate::encode::{
     build_skeleton, need_classes, ComplexColumnMode, EncodeConfig, Encoder, SetColumnMode, Skeleton,
 };
-use crate::relation::{ColumnKind, Forest, RelId, Relation, TupleIdx};
+use crate::relation::{ColumnKind, Forest, RelId, Relation};
 use crate::setvalue::add_set_columns;
 use crate::treetuple::DecodeError;
 
 /// One document's contribution to the collection forest, expressed in
 /// segment-local coordinates: node keys and `NodeKey` cells are pre-order
-/// ranks, `ValueClass` cells are local class-table ids, and simple cells
-/// are local dictionary ids. All coordinates are shifted or remapped by
-/// [`merge_partials`]; a partial is therefore valid for *any* position in
+/// ranks, `ValueClass` cells are local class ids, and simple cells are
+/// local dictionary ids. All coordinates are shifted or remapped by
+/// [`ForestMerge`]; a partial is therefore valid for *any* position in
 /// *any* collection encoded under the same schema and configuration.
 pub struct SegmentPartial {
     relations: Vec<Relation>,
     dictionary: Dictionary,
-    table: Option<ClassTable>,
+    /// The segment's value classes, when the configuration needs classes.
+    shapes: Option<ShapeCons>,
+    /// Per relation, the local class of each tuple's pivot node (empty
+    /// without classes): what set-valued columns are built from.
+    tuple_class: Vec<Vec<u32>>,
     node_count: usize,
 }
 
@@ -71,16 +77,10 @@ impl SegmentPartial {
         for id in 0..self.dictionary.num_strings() {
             bytes += self.dictionary.resolve_str(id as u64).len() + 24;
         }
-        if let Some(t) = &self.table {
-            bytes += t.class_by_rank.len() * 4;
-            for s in &t.shapes {
-                bytes += s.label.len()
-                    + s.value.as_ref().map_or(0, |v| v.len())
-                    + s.children.len() * 4
-                    + 48;
-            }
+        if let Some(shapes) = &self.shapes {
+            bytes += shapes.approx_bytes();
         }
-        bytes
+        bytes + self.tuple_class.iter().map(|c| c.len() * 4).sum::<usize>()
     }
 }
 
@@ -90,22 +90,13 @@ impl SegmentPartial {
 /// the synthetic collection element whose children are document roots).
 pub fn build_partial(tree: &DataTree, map: &SchemaMap, config: &EncodeConfig) -> SegmentPartial {
     let (preorder, rank) = preorder_of(tree);
-    let table = if need_classes(config) {
-        Some(ClassTable::compute(tree, config.order, &preorder, &rank))
+    let (shapes, classes) = if need_classes(config) {
+        let mut shapes = ShapeCons::new(config.order);
+        let classes = EqClasses::compute_in(tree, &mut shapes);
+        (Some(shapes), Some(classes))
     } else {
-        None
+        (None, None)
     };
-    // The encoder consumes classes indexed by arena id; re-index the
-    // rank-indexed table.
-    let classes = table.as_ref().map(|t| {
-        let mut by_arena = vec![ValueClassId(0); tree.node_count()];
-        for (slot, &rk) in by_arena.iter_mut().zip(rank.iter()) {
-            if let Some(&class) = t.class_by_rank.get(rk as usize) {
-                *slot = ValueClassId(class);
-            }
-        }
-        EqClasses::from_raw(by_arena, t.num_classes() as u32)
-    });
 
     let Skeleton {
         mut relations,
@@ -133,132 +124,284 @@ pub fn build_partial(tree: &DataTree, map: &SchemaMap, config: &EncodeConfig) ->
     if let Some(&celem) = child_elem.get(&(map.root(), label)) {
         encoder.visit_child(tree.root(), celem, RelId(0), 0);
     }
+    let tuple_class = match &classes {
+        Some(classes) => relations
+            .iter()
+            .map(|r| {
+                r.node_keys
+                    .iter()
+                    .map(|k| {
+                        preorder
+                            .get(k.index())
+                            .map_or(0, |&n| classes.class_of(n).0)
+                    })
+                    .collect()
+            })
+            .collect(),
+        None => Vec::new(),
+    };
     SegmentPartial {
         relations,
         dictionary,
-        table,
+        shapes,
+        tuple_class,
         node_count: tree.node_count(),
     }
 }
 
-/// Global shape key for re-consing per-segment class tables; labels are
-/// strings because interner symbols are per-tree.
-type GlobalShape = (Box<str>, Option<Box<str>>, Box<[u32]>);
+/// The merged state just after one segment: what a rollback to that point
+/// truncates to.
+#[derive(Debug, Clone)]
+struct Mark {
+    /// Merged nodes, the collection root included.
+    nodes: usize,
+    /// Tuples per relation (the root relation always holds its one tuple).
+    tuples: Vec<usize>,
+    /// Dictionary strings.
+    strings: usize,
+    /// Global value classes, and the label and value strings they use.
+    classes: usize,
+    class_strings: usize,
+}
 
-/// Merge segment partials into the collection [`Forest`], byte-identical
-/// to serially encoding the grafted collection tree. `parts` must be in
-/// segment (document) order and all encoded under `map`'s schema and the
-/// same `config`. With `threads > 1` the per-relation concatenation runs
-/// on scoped workers (each relation is filled whole by one worker, so the
-/// output is identical at any thread count).
-pub fn merge_partials(
-    map: SchemaMap,
-    config: &EncodeConfig,
-    parts: &[&SegmentPartial],
-    threads: usize,
-) -> Forest {
-    let Skeleton { mut relations, .. } = build_skeleton(&map, config);
-    let nrel = relations.len();
-    for part in parts {
-        debug_assert_eq!(part.relations.len(), nrel, "partials share the schema");
-    }
+/// One merged segment.
+#[derive(Debug, Clone)]
+struct MergedSegment {
+    /// The caller's identity for the segment (the corpus uses its content
+    /// digest): a segment is reused while its key stays in place.
+    key: u128,
+    /// Root-relation cells this segment's document root supplies, as
+    /// (column, merged value).
+    root_cells: Vec<(usize, u64)>,
+    end: Mark,
+}
 
-    // Node offsets: collection root is node 0, segments follow in order.
-    let mut node_off: Vec<u32> = Vec::with_capacity(parts.len());
-    let mut total_nodes = 1usize;
-    for part in parts {
-        node_off.push(total_nodes as u32);
-        total_nodes += part.node_count;
-    }
+/// A resumable merge of segment partials into the collection [`Forest`],
+/// byte-identical to serially encoding the grafted collection tree.
+///
+/// [`ForestMerge::update`] brings the forest to a new segment list in
+/// three steps: roll back to the longest prefix of segments whose keys are
+/// unchanged, merge the changed suffix, then re-derive the root tuple and
+/// the set-valued columns. A cold merge is the same call from an empty
+/// state. The forest is updated in place when no one else holds its `Arc`.
+pub struct ForestMerge {
+    config: EncodeConfig,
+    forest: Arc<Forest>,
+    /// Per relation: its columns before the set-valued ones.
+    base_columns: Vec<usize>,
+    classes: ShapeCons,
+    /// Per relation, the global class of each tuple's pivot node — what
+    /// the set-valued columns are built from, so kept only when they are
+    /// derived.
+    tuple_class: Vec<Vec<ValueClassId>>,
+    segments: Vec<MergedSegment>,
+}
 
-    // Global value classes: cons segment tables in reverse segment order
-    // (each table already lists classes in reverse pre-order first-use
-    // order), then the collection root, mirroring the reverse arena scan
-    // of `EqClasses::compute_with` on the grafted tree.
-    let mut class_maps: Vec<Vec<u32>> = vec![Vec::new(); parts.len()];
-    let mut num_global_classes = 0u32;
-    let mut root_class = 0u32;
-    if need_classes(config) {
-        let mut cons: HashMap<GlobalShape, u32> = HashMap::new();
-        for (i, part) in parts.iter().enumerate().rev() {
-            debug_assert!(part.table.is_some(), "partials built with classes");
-            let Some(table) = part.table.as_ref() else {
-                continue;
-            };
-            let mut local_to_global: Vec<u32> = Vec::with_capacity(table.shapes.len());
-            for shape in table.shapes.iter() {
-                // Children have strictly smaller local ids, so they are
-                // already remapped; re-sort because the remap is not
-                // monotone across segments.
-                let mut kids: Vec<u32> = shape
-                    .children
-                    .iter()
-                    .map(|&c| local_to_global.get(c as usize).copied().unwrap_or(0))
-                    .collect();
-                if config.order == OrderMode::Unordered {
-                    kids.sort_unstable();
-                }
-                let key: GlobalShape = (shape.label.clone(), shape.value.clone(), kids.into());
-                let next = cons.len() as u32;
-                local_to_global.push(*cons.entry(key).or_insert(next));
-            }
-            if let Some(slot) = class_maps.get_mut(i) {
-                *slot = local_to_global;
+impl ForestMerge {
+    /// An empty merge for the collection schema `map` under `config`.
+    pub fn new(map: SchemaMap, config: &EncodeConfig) -> Self {
+        let Skeleton { mut relations, .. } = build_skeleton(&map, config);
+        let base_columns: Vec<usize> = relations.iter().map(|r| r.columns.len()).collect();
+        let base_len = base_columns.len();
+        if let Some(root) = relations.first_mut() {
+            root.node_keys.push(NodeId(0));
+            for c in &mut root.columns {
+                c.cells.push(None);
             }
         }
-        let mut kids: Vec<u32> = parts
+        ForestMerge {
+            config: *config,
+            forest: Arc::new(Forest::new(relations, Dictionary::new(), map)),
+            base_columns,
+            classes: ShapeCons::new(config.order),
+            tuple_class: vec![Vec::new(); base_len],
+            segments: Vec::new(),
+        }
+    }
+
+    /// The merged forest.
+    pub fn forest(&self) -> &Arc<Forest> {
+        &self.forest
+    }
+
+    /// The merged forest, without the merge state.
+    pub fn into_forest(self) -> Forest {
+        Arc::try_unwrap(self.forest).unwrap_or_else(|shared| Forest::clone(&shared))
+    }
+
+    /// Bring the forest to `parts`: one `(key, partial)` per segment, in
+    /// document order, every partial built under this merge's schema and
+    /// configuration. Segments whose key matches the one already merged at
+    /// the same position, with every earlier key matching too, are kept;
+    /// everything after the first mismatch is merged anew. Returns the
+    /// number of segments merged by this call.
+    pub fn update(&mut self, parts: &[(u128, &SegmentPartial)]) -> usize {
+        let keep = self
+            .segments
             .iter()
-            .enumerate()
-            .filter_map(|(i, part)| {
-                debug_assert!(part.table.is_some(), "partials built with classes");
-                let table = part.table.as_ref()?;
-                let local = table.class_by_rank.first().copied()?;
-                class_maps.get(i)?.get(local as usize).copied()
-            })
-            .collect();
-        if config.order == OrderMode::Unordered {
-            kids.sort_unstable();
+            .zip(parts)
+            .take_while(|(seg, (key, _))| seg.key == *key)
+            .count();
+        self.segments.truncate(keep);
+        let mark = match self.segments.last() {
+            Some(seg) => seg.end.clone(),
+            None => Mark {
+                nodes: 1,
+                tuples: (0..self.base_columns.len())
+                    .map(|r| usize::from(r == 0))
+                    .collect(),
+                strings: 0,
+                classes: 0,
+                class_strings: 0,
+            },
+        };
+        let forest = Arc::make_mut(&mut self.forest);
+        for (r, rel) in forest.relations.iter_mut().enumerate() {
+            if let Some(&base) = self.base_columns.get(r) {
+                rel.columns.truncate(base);
+            }
+            let n = mark.tuples.get(r).copied().unwrap_or(0);
+            rel.node_keys.truncate(n);
+            rel.parent_of.truncate(n);
+            for c in &mut rel.columns {
+                c.cells.truncate(n);
+            }
+            if let Some(classes) = self.tuple_class.get_mut(r) {
+                classes.truncate(n);
+            }
         }
-        let root_label: Box<str> = map.get(map.root()).label.as_str().into();
-        let key: GlobalShape = (root_label, None, kids.into());
-        let next = cons.len() as u32;
-        root_class = *cons.entry(key).or_insert(next);
-        num_global_classes = cons.len() as u32;
-    }
+        forest.dictionary.truncate(mark.strings, 0);
+        self.classes.truncate(mark.classes, mark.class_strings);
 
-    // Dictionary: re-intern each segment's strings in local-id order,
-    // segment order — the order the serial DFS walk first meets them.
-    let mut dictionary = Dictionary::new();
-    let string_maps: Vec<Vec<u64>> = parts
-        .iter()
-        .map(|part| {
-            (0..part.dictionary.num_strings())
-                .map(|id| dictionary.intern_str(part.dictionary.resolve_str(id as u64)))
-                .collect()
+        let derive_sets = self.config.set_columns != SetColumnMode::None;
+        let mut nodes = mark.nodes;
+        let suffix = parts.get(keep..).unwrap_or_default();
+        for &(key, part) in suffix {
+            let tuple_class = derive_sets.then_some(&mut self.tuple_class);
+            let root_cells = append_segment(
+                forest,
+                &self.config,
+                &mut self.classes,
+                tuple_class,
+                nodes,
+                part,
+            );
+            nodes += part.node_count;
+            self.segments.push(MergedSegment {
+                key,
+                root_cells,
+                end: Mark {
+                    nodes,
+                    tuples: forest.relations.iter().map(Relation::n_tuples).collect(),
+                    strings: forest.dictionary.num_strings(),
+                    classes: self.classes.len(),
+                    class_strings: self.classes.num_strings(),
+                },
+            });
+        }
+
+        // The collection root's tuple: at most one segment supplies each
+        // column (a non-set document root has a label unique in the
+        // collection).
+        if let Some(root) = forest.relations.first_mut() {
+            for c in &mut root.columns {
+                if let Some(cell) = c.cells.first_mut() {
+                    *cell = None;
+                }
+            }
+            for seg in &self.segments {
+                for &(col, v) in &seg.root_cells {
+                    if let Some(cell) = root.columns.get_mut(col).and_then(|c| c.cells.first_mut())
+                    {
+                        *cell = Some(v);
+                    }
+                }
+            }
+        }
+        if derive_sets {
+            let Forest {
+                relations,
+                dictionary,
+                schema,
+                ..
+            } = forest;
+            let tuple_class = &self.tuple_class;
+            add_set_columns(
+                relations,
+                schema,
+                |rel, t| {
+                    tuple_class
+                        .get(rel.id.index())
+                        .and_then(|c| c.get(t))
+                        .copied()
+                        .unwrap_or(ValueClassId(0))
+                },
+                dictionary,
+                self.config.set_columns,
+                self.config.order,
+            );
+        }
+        suffix.len()
+    }
+}
+
+/// Append one segment's tuples to `forest`, whose merged nodes number
+/// `node_off` so far, and return the root-relation cells it supplies.
+/// Strings are re-interned into the forest dictionary and class shapes
+/// re-consed into `classes`, both in local id order; the classes of the
+/// appended tuples extend `tuple_class` when set-valued columns are
+/// derived.
+fn append_segment(
+    forest: &mut Forest,
+    config: &EncodeConfig,
+    classes: &mut ShapeCons,
+    tuple_class: Option<&mut Vec<Vec<ValueClassId>>>,
+    node_off: usize,
+    part: &SegmentPartial,
+) -> Vec<(usize, u64)> {
+    let string_map: Vec<u64> = (0..part.dictionary.num_strings() as u64)
+        .map(|id| {
+            forest
+                .dictionary
+                .intern_str(part.dictionary.resolve_str(id))
         })
         .collect();
+    let mut class_map: Vec<u32> = Vec::new();
+    if let Some(shapes) = &part.shapes {
+        let strings: Vec<u32> = shapes.strings().map(|s| classes.intern_str(s)).collect();
+        let string = |id: u32| strings.get(id as usize).copied().unwrap_or(0);
+        class_map.reserve(shapes.len());
+        for shape in shapes.shapes() {
+            let children = shape
+                .children
+                .iter()
+                .map(|&c| class_map.get(c as usize).copied().unwrap_or(0));
+            let class = classes.cons(string(shape.label), shape.value.map(string), children);
+            class_map.push(class);
+        }
+    }
+    if let Some(tuple_class) = tuple_class {
+        for (dst, src) in tuple_class.iter_mut().zip(&part.tuple_class).skip(1) {
+            dst.extend(
+                src.iter()
+                    .map(|&c| ValueClassId(class_map.get(c as usize).copied().unwrap_or(0))),
+            );
+        }
+    }
 
     // Cell values are structurally in range for any partial built under this
     // plan (wire input is bounds-checked by `decode_partial`); the fallbacks
     // below are never hit on valid input and exist so a violated invariant
     // degrades to a deterministic wrong cell instead of a panic that kills
     // a merge worker mid-job.
-    let remap_cell = |kind: ColumnKind, v: u64, seg: usize| -> u64 {
+    let remap_cell = |kind: ColumnKind, v: u64| -> u64 {
         match kind {
-            ColumnKind::Simple => string_maps
-                .get(seg)
-                .and_then(|m| m.get(v as usize))
-                .copied()
-                .unwrap_or(0),
+            ColumnKind::Simple => string_map.get(v as usize).copied().unwrap_or(0),
             ColumnKind::Complex => match config.complex_columns {
-                ComplexColumnMode::NodeKey => {
-                    v + u64::from(node_off.get(seg).copied().unwrap_or(0))
+                ComplexColumnMode::NodeKey => v + node_off as u64,
+                ComplexColumnMode::ValueClass => {
+                    class_map.get(v as usize).copied().map_or(0, u64::from)
                 }
-                ComplexColumnMode::ValueClass => class_maps
-                    .get(seg)
-                    .and_then(|m| m.get(v as usize))
-                    .copied()
-                    .map_or(0, u64::from),
                 // Omitted columns never materialize cells; pass through.
                 ComplexColumnMode::Omit => v,
             },
@@ -267,172 +410,67 @@ pub fn merge_partials(
         }
     };
 
-    // Root relation: the collection root's single tuple. A non-set
-    // document root (label unique across the collection) lands its columns
-    // here; at most one segment contributes a non-⊥ value per column.
-    if let Some(root) = relations.first_mut() {
-        root.node_keys.push(NodeId(0));
-        for c in &mut root.columns {
-            c.cells.push(None);
-        }
-        for (i, part) in parts.iter().enumerate() {
-            let Some(src_root) = part.relations.first() else {
-                continue;
-            };
-            for (dst, col) in root.columns.iter_mut().zip(&src_root.columns) {
-                if let Some(v) = col.cells.first().copied().flatten() {
-                    let mapped = remap_cell(dst.kind, v, i);
-                    if let Some(cell) = dst.cells.first_mut() {
-                        debug_assert!(cell.is_none(), "root columns are single-segment");
-                        *cell = Some(mapped);
-                    }
-                }
-            }
-        }
-    }
-
-    // Child relations: concatenate per-segment tuples in segment order
-    // (the serial DFS meets each segment's tuples as a contiguous block).
-    // Parent pointers shift by the parent relation's tuple count over
-    // earlier segments — zero when the parent is the root relation, whose
-    // placeholder tuple 0 is shared. `tuple_prefix[r][i]` is relation `r`'s
-    // tuple count over segments `0..i`; with the prefixes precomputed every
-    // relation concatenates independently, so the loop fans out over the
-    // worker pool — one relation per task, identical output at any count.
-    let mut tuple_prefix: Vec<Vec<TupleIdx>> = Vec::with_capacity(nrel);
-    for r in 0..nrel {
-        let mut acc: TupleIdx = 0;
-        let mut pre = Vec::with_capacity(parts.len());
-        for part in parts {
-            pre.push(acc);
-            acc += part
-                .relations
-                .get(r)
-                .map_or(0, |rel| rel.n_tuples() as TupleIdx);
-        }
-        tuple_prefix.push(pre);
-    }
-    let fill = |r: usize, rel: &mut Relation| {
-        debug_assert!(rel.parent.is_some(), "non-root relation has a parent");
-        let Some(parent) = rel.parent else {
-            return;
-        };
-        for (i, part) in parts.iter().enumerate() {
-            let Some(src) = part.relations.get(r) else {
-                continue;
-            };
-            let parent_shift = if parent.index() == 0 {
-                0
-            } else {
-                tuple_prefix
-                    .get(parent.index())
-                    .and_then(|pre| pre.get(i))
-                    .copied()
-                    .unwrap_or(0)
-            };
-            let off = node_off.get(i).copied().unwrap_or(0);
-            rel.node_keys
-                .extend(src.node_keys.iter().map(|k| NodeId(k.0 + off)));
-            rel.parent_of
-                .extend(src.parent_of.iter().map(|&p| p + parent_shift));
-            for (dst, col) in rel.columns.iter_mut().zip(&src.columns) {
-                let kind = dst.kind;
-                dst.cells.extend(
-                    col.cells
-                        .iter()
-                        .map(|cell| cell.map(|v| remap_cell(kind, v, i))),
-                );
-            }
-        }
-    };
-    let rest = relations.get_mut(1..).unwrap_or_default();
-    let workers = threads.min(rest.len());
-    if workers <= 1 {
-        for (j, rel) in rest.iter_mut().enumerate() {
-            fill(j + 1, rel);
-        }
-    } else {
-        // Static LPT assignment: largest relations first, each to the
-        // least-loaded bucket. Deterministic, and balanced enough for the
-        // handful of relations a schema produces.
-        let sizes: Vec<usize> = (1..nrel)
-            .map(|r| {
-                parts
-                    .iter()
-                    .map(|p| p.relations.get(r).map_or(0, Relation::n_tuples))
-                    .sum()
-            })
-            .collect();
-        let size_of = |j: usize| sizes.get(j).copied().unwrap_or(0);
-        let mut order: Vec<usize> = (0..rest.len()).collect();
-        order.sort_by_key(|&j| (std::cmp::Reverse(size_of(j)), j));
-        let mut buckets: Vec<Vec<(usize, &mut Relation)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        let mut load = vec![0usize; workers];
-        let mut slots: Vec<Option<&mut Relation>> = rest.iter_mut().map(Some).collect();
-        for &j in &order {
-            let w = load
+    let root_cells = part
+        .relations
+        .first()
+        .zip(forest.relations.first())
+        .map(|(src, dst)| {
+            dst.columns
                 .iter()
+                .zip(&src.columns)
                 .enumerate()
-                .min_by_key(|&(_, &l)| l)
-                .map_or(0, |(w, _)| w);
-            if let Some(l) = load.get_mut(w) {
-                *l += size_of(j).max(1);
-            }
-            let Some(rel) = slots.get_mut(j).and_then(Option::take) else {
-                continue;
-            };
-            if let Some(bucket) = buckets.get_mut(w) {
-                bucket.push((j + 1, rel));
-            }
-        }
-        let fill = &fill;
-        std::thread::scope(|scope| {
-            for bucket in buckets {
-                scope.spawn(move || {
-                    for (r, rel) in bucket {
-                        fill(r, rel);
-                    }
-                });
-            }
-        });
-    }
+                .filter_map(|(col, (d, s))| {
+                    let v = s.cells.first().copied().flatten()?;
+                    Some((col, remap_cell(d.kind, v)))
+                })
+                .collect()
+        })
+        .unwrap_or_default();
 
-    // Set-valued columns, over the synthesized global classes.
-    if need_classes(config) && config.set_columns != SetColumnMode::None {
-        let mut class = vec![ValueClassId(0); total_nodes];
-        if let Some(slot) = class.first_mut() {
-            *slot = ValueClassId(root_class);
+    // Child relations: the serial DFS meets each segment's tuples as one
+    // contiguous block, so they append. Parent pointers shift by the parent
+    // relation's tuple count before this segment — zero when the parent is
+    // the root relation, whose placeholder tuple 0 is shared.
+    let before: Vec<u32> = forest
+        .relations
+        .iter()
+        .map(|r| r.n_tuples() as u32)
+        .collect();
+    let off = node_off as u32;
+    for (dst, src) in forest.relations.iter_mut().zip(&part.relations).skip(1) {
+        let Some(parent) = dst.parent else {
+            continue;
+        };
+        let shift = match parent.index() {
+            0 => 0,
+            p => before.get(p).copied().unwrap_or(0),
+        };
+        dst.node_keys
+            .extend(src.node_keys.iter().map(|k| NodeId(k.0 + off)));
+        dst.parent_of
+            .extend(src.parent_of.iter().map(|&p| p + shift));
+        for (d, s) in dst.columns.iter_mut().zip(&src.columns) {
+            let kind = d.kind;
+            d.cells
+                .extend(s.cells.iter().map(|cell| cell.map(|v| remap_cell(kind, v))));
         }
-        for (i, part) in parts.iter().enumerate() {
-            debug_assert!(part.table.is_some(), "partials built with classes");
-            let Some(table) = part.table.as_ref() else {
-                continue;
-            };
-            let off = node_off.get(i).copied().unwrap_or(0) as usize;
-            for (k, &local) in table.class_by_rank.iter().enumerate() {
-                let global = class_maps
-                    .get(i)
-                    .and_then(|m| m.get(local as usize))
-                    .copied()
-                    .unwrap_or(0);
-                if let Some(slot) = class.get_mut(off + k) {
-                    *slot = ValueClassId(global);
-                }
-            }
-        }
-        let classes = EqClasses::from_raw(class, num_global_classes);
-        add_set_columns(
-            &mut relations,
-            &map,
-            &classes,
-            &mut dictionary,
-            config.set_columns,
-            config.order,
-        );
     }
+    root_cells
+}
 
-    Forest::new(relations, dictionary, map)
+/// Merge segment partials into the collection [`Forest`], byte-identical
+/// to serially encoding the grafted collection tree: a [`ForestMerge`] run
+/// from an empty state. `parts` must be in segment (document) order and all
+/// encoded under `map`'s schema and the same `config`.
+pub fn merge_partials(map: SchemaMap, config: &EncodeConfig, parts: &[&SegmentPartial]) -> Forest {
+    let mut merge = ForestMerge::new(map, config);
+    let keyed: Vec<(u128, &SegmentPartial)> = parts
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (i as u128, p))
+        .collect();
+    merge.update(&keyed);
+    merge.into_forest()
 }
 
 /// Encode a document collection by sharding over segments: build one
@@ -448,7 +486,7 @@ pub fn encode_collection(
     let map = SchemaMap::new(schema);
     let parts = build_partials(trees, &map, config, threads);
     let refs: Vec<&SegmentPartial> = parts.iter().collect();
-    merge_partials(map, config, &refs, threads)
+    merge_partials(map, config, &refs)
 }
 
 /// Build one partial per tree, fanning out over a scoped worker pool.
@@ -492,16 +530,20 @@ pub fn build_partials(
 }
 
 /// Magic prefix of an encoded [`SegmentPartial`] ("XFD segment partial,
-/// version 1").
-pub const PARTIAL_MAGIC: [u8; 4] = *b"XSP1";
+/// version 2": classes are numbered in document order, shapes carry
+/// interned label and value strings, and each tuple carries its class).
+pub const PARTIAL_MAGIC: [u8; 4] = *b"XSP2";
 
 /// Sentinel cell meaning ⊥ (dictionary/class/node ids never reach it).
 const NONE_CELL: u64 = u64::MAX;
 
+/// Sentinel for a class shape without a simple value.
+const NO_STRING: u32 = u32::MAX;
+
 /// Serialize a [`SegmentPartial`] into a self-contained block, in the
 /// TreeTuple style (little-endian integers, length-prefixed strings). Only
 /// segment-local *data* is written — node keys, parent pointers, cells,
-/// dictionary strings and the class table; the relation skeleton is
+/// dictionary strings, class shapes and tuple classes; the relation skeleton is
 /// re-derived from the schema on decode, so a block is valid for any
 /// process that shares the plan (schema + encode config).
 pub fn encode_partial(part: &SegmentPartial) -> Vec<u8> {
@@ -519,30 +561,23 @@ pub fn encode_partial(part: &SegmentPartial) -> Vec<u8> {
         out.extend_from_slice(&(s.len() as u32).to_le_bytes());
         out.extend_from_slice(s.as_bytes());
     }
-    match &part.table {
+    match &part.shapes {
         None => out.push(0),
-        Some(t) => {
+        Some(shapes) => {
             out.push(1);
-            out.extend_from_slice(&(t.shapes.len() as u32).to_le_bytes());
-            for s in &t.shapes {
-                out.extend_from_slice(&(s.label.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.label.as_bytes());
-                match &s.value {
-                    None => out.push(0),
-                    Some(v) => {
-                        out.push(1);
-                        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                        out.extend_from_slice(v.as_bytes());
-                    }
-                }
-                out.extend_from_slice(&(s.children.len() as u32).to_le_bytes());
-                for &c in s.children.iter() {
+            out.extend_from_slice(&(shapes.num_strings() as u32).to_le_bytes());
+            for s in shapes.strings() {
+                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+            out.extend_from_slice(&(shapes.len() as u32).to_le_bytes());
+            for shape in shapes.shapes() {
+                out.extend_from_slice(&shape.label.to_le_bytes());
+                out.extend_from_slice(&shape.value.unwrap_or(NO_STRING).to_le_bytes());
+                out.extend_from_slice(&(shape.children.len() as u32).to_le_bytes());
+                for &c in shape.children {
                     out.extend_from_slice(&c.to_le_bytes());
                 }
-            }
-            out.extend_from_slice(&(t.class_by_rank.len() as u32).to_le_bytes());
-            for &c in &t.class_by_rank {
-                out.extend_from_slice(&c.to_le_bytes());
             }
         }
     }
@@ -561,6 +596,12 @@ pub fn encode_partial(part: &SegmentPartial) -> Vec<u8> {
             for cell in &col.cells {
                 out.extend_from_slice(&cell.unwrap_or(NONE_CELL).to_le_bytes());
             }
+        }
+    }
+    // One local class per tuple, relation by relation, when classes exist.
+    for classes in &part.tuple_class {
+        for &c in classes {
+            out.extend_from_slice(&c.to_le_bytes());
         }
     }
     out
@@ -595,36 +636,41 @@ pub fn decode_partial(
         }
     }
 
-    let table = match c.u8()? {
+    let shapes = match c.u8()? {
         0 => None,
         1 => {
-            let n_shapes = c.u32()? as usize;
-            if n_shapes > c.remaining() / 9 {
+            let n_class_strings = c.u32()? as usize;
+            if n_class_strings > c.remaining() / 4 {
                 return Err(DecodeError::Truncated);
             }
-            let mut shapes = Vec::with_capacity(n_shapes);
-            for local in 0..n_shapes {
+            let mut shapes = ShapeCons::new(config.order);
+            for i in 0..n_class_strings {
                 let len = c.u32()? as usize;
-                let label: Box<str> = std::str::from_utf8(c.take(len)?)
-                    .map_err(|_| DecodeError::BadUtf8)?
-                    .into();
-                let value = match c.u8()? {
-                    0 => None,
-                    1 => {
-                        let len = c.u32()? as usize;
-                        Some(
-                            std::str::from_utf8(c.take(len)?)
-                                .map_err(|_| DecodeError::BadUtf8)?
-                                .into(),
-                        )
-                    }
-                    _ => return Err(DecodeError::BadIndex("shape value flag")),
+                let s = std::str::from_utf8(c.take(len)?).map_err(|_| DecodeError::BadUtf8)?;
+                if shapes.intern_str(s) as usize != i {
+                    return Err(DecodeError::BadIndex("duplicate class string"));
+                }
+            }
+            let n_shapes = c.u32()? as usize;
+            if n_shapes > c.remaining() / 12 {
+                return Err(DecodeError::Truncated);
+            }
+            let mut children: Vec<u32> = Vec::new();
+            for local in 0..n_shapes {
+                let label = c.u32()?;
+                if label as usize >= n_class_strings {
+                    return Err(DecodeError::BadIndex("shape label"));
+                }
+                let value = match c.u32()? {
+                    NO_STRING => None,
+                    v if (v as usize) < n_class_strings => Some(v),
+                    _ => return Err(DecodeError::BadIndex("shape value")),
                 };
                 let n_children = c.u32()? as usize;
                 if n_children > c.remaining() / 4 {
                     return Err(DecodeError::Truncated);
                 }
-                let mut children = Vec::with_capacity(n_children);
+                children.clear();
                 for _ in 0..n_children {
                     let child = c.u32()?;
                     // The merge remaps children through ids already consed,
@@ -634,38 +680,18 @@ pub fn decode_partial(
                     }
                     children.push(child);
                 }
-                shapes.push(xfd_xml::ShapeExport {
-                    label,
-                    value,
-                    children: children.into(),
-                });
-            }
-            let n_ranks = c.u32()? as usize;
-            if n_ranks != node_count {
-                return Err(DecodeError::BadIndex("class-by-rank length"));
-            }
-            if n_ranks > c.remaining() / 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let mut class_by_rank = Vec::with_capacity(n_ranks);
-            for _ in 0..n_ranks {
-                let class = c.u32()?;
-                if class as usize >= n_shapes {
-                    return Err(DecodeError::BadIndex("class id"));
+                if shapes.cons(label, value, children.iter().copied()) as usize != local {
+                    return Err(DecodeError::BadIndex("duplicate shape"));
                 }
-                class_by_rank.push(class);
             }
-            Some(ClassTable {
-                class_by_rank,
-                shapes,
-            })
+            Some(shapes)
         }
         _ => return Err(DecodeError::BadIndex("class table flag")),
     };
-    if table.is_some() != need_classes(config) {
+    if shapes.is_some() != need_classes(config) {
         return Err(DecodeError::BadIndex("class table presence"));
     }
-    let n_shapes = table.as_ref().map_or(0, |t| t.shapes.len());
+    let n_shapes = shapes.as_ref().map_or(0, ShapeCons::len);
 
     let Skeleton { mut relations, .. } = build_skeleton(map, config);
     let n_rel = c.u32()? as usize;
@@ -732,6 +758,23 @@ pub fn decode_partial(
             col.cells = cells;
         }
     }
+    let mut tuple_class: Vec<Vec<u32>> = Vec::new();
+    if shapes.is_some() {
+        for rel in &relations {
+            if rel.n_tuples() > c.remaining() / 4 {
+                return Err(DecodeError::Truncated);
+            }
+            let mut classes = Vec::with_capacity(rel.n_tuples());
+            for _ in 0..rel.n_tuples() {
+                let class = c.u32()?;
+                if class as usize >= n_shapes {
+                    return Err(DecodeError::BadIndex("tuple class"));
+                }
+                classes.push(class);
+            }
+            tuple_class.push(classes);
+        }
+    }
     if c.remaining() != 0 {
         return Err(DecodeError::TrailingBytes);
     }
@@ -750,7 +793,8 @@ pub fn decode_partial(
     Ok(SegmentPartial {
         relations,
         dictionary,
-        table,
+        shapes,
+        tuple_class,
         node_count,
     })
 }
@@ -761,7 +805,7 @@ pub fn decode_partial(
 /// Cluster workers use it to prove they reconstructed the coordinator's
 /// forest before accepting relation passes.
 pub fn forest_fingerprint(forest: &Forest) -> u128 {
-    let mut d = xfd_hash::ContentDigest::new();
+    let mut d = xfd_hash::WordDigest::new();
     d.update_u64(forest.relations.len() as u64);
     for rel in &forest.relations {
         d.update_u64(rel.node_keys.len() as u64);
@@ -785,9 +829,7 @@ pub fn forest_fingerprint(forest: &Forest) -> u128 {
     }
     d.update_u64(forest.dictionary.num_strings() as u64);
     for id in 0..forest.dictionary.num_strings() as u64 {
-        let s = forest.dictionary.resolve_str(id);
-        d.update_u64(s.len() as u64);
-        d.update(s.as_bytes());
+        d.update_bytes(forest.dictionary.resolve_str(id).as_bytes());
     }
     d.update_u64(forest.dictionary.num_multisets() as u64);
     for id in 0..forest.dictionary.num_multisets() as u64 {
@@ -805,7 +847,7 @@ mod tests {
     use super::*;
     use crate::encode::encode;
     use xfd_schema::infer_schema;
-    use xfd_xml::parse;
+    use xfd_xml::{parse, OrderMode};
 
     /// Graft documents under a synthetic `<collection>` root exactly as
     /// the core driver's `merge_collection` does.
@@ -997,8 +1039,117 @@ mod tests {
         let rearranged: Vec<&DataTree> = vec![&trees[2], &trees[0], &trees[1]];
         let serial = encode(&grafted(&rearranged), &schema, &config);
         let picked: Vec<&SegmentPartial> = vec![&parts[2], &parts[0], &parts[1]];
-        let sharded = merge_partials(SchemaMap::new(&schema), &config, &picked, 1);
+        let sharded = merge_partials(SchemaMap::new(&schema), &config, &picked);
         assert_forest_eq(&sharded, &serial);
+    }
+
+    /// Walk one `ForestMerge` through adds, removals and reorders; after
+    /// every step its forest must equal the serial encoding of the grafted
+    /// tree under the same (superset) schema.
+    fn check_incremental(config: &EncodeConfig) {
+        let docs = [
+            STORES[0],
+            STORES[1],
+            STORES[2],
+            "<store><book><ISBN>X</ISBN><author>A</author></book></store>",
+        ];
+        let trees: Vec<DataTree> = docs.iter().map(|d| parse(d).unwrap()).collect();
+        let all: Vec<&DataTree> = trees.iter().collect();
+        let schema = infer_schema(&grafted(&all));
+        let map = SchemaMap::new(&schema);
+        let parts: Vec<SegmentPartial> =
+            all.iter().map(|t| build_partial(t, &map, config)).collect();
+        let mut merge = ForestMerge::new(SchemaMap::new(&schema), config);
+        let steps: &[&[usize]] = &[
+            &[0, 1],
+            &[0, 1, 2],
+            &[0, 1, 2, 3],
+            &[1, 2, 3],
+            &[1, 3],
+            &[1, 3, 3, 0],
+            &[1, 3, 3, 0],
+            &[],
+            &[2],
+        ];
+        let mut previous: &[usize] = &[];
+        for &step in steps {
+            let keyed: Vec<(u128, &SegmentPartial)> =
+                step.iter().map(|&i| (i as u128, &parts[i])).collect();
+            let merged = merge.update(&keyed);
+            let kept = previous
+                .iter()
+                .zip(step)
+                .take_while(|(a, b)| a == b)
+                .count();
+            assert_eq!(merged, step.len() - kept, "only the suffix merges");
+            let picked: Vec<&DataTree> = step.iter().map(|&i| &trees[i]).collect();
+            let serial = encode(&grafted(&picked), &schema, config);
+            assert_forest_eq(merge.forest(), &serial);
+            assert_eq!(
+                forest_fingerprint(merge.forest()),
+                forest_fingerprint(&serial)
+            );
+            previous = step;
+        }
+    }
+
+    #[test]
+    fn incremental_merge_matches_serial_default_config() {
+        check_incremental(&EncodeConfig::default());
+    }
+
+    #[test]
+    fn incremental_merge_matches_serial_value_class_mode() {
+        check_incremental(&EncodeConfig {
+            complex_columns: ComplexColumnMode::ValueClass,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    fn incremental_merge_matches_serial_ordered_mode() {
+        check_incremental(&EncodeConfig {
+            order: OrderMode::Ordered,
+            complex_columns: ComplexColumnMode::ValueClass,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    fn incremental_merge_matches_serial_without_set_columns() {
+        check_incremental(&EncodeConfig {
+            set_columns: SetColumnMode::None,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    fn a_shared_forest_is_copied_not_mutated() {
+        let trees: Vec<DataTree> = STORES.iter().map(|d| parse(d).unwrap()).collect();
+        let refs: Vec<&DataTree> = trees.iter().collect();
+        let schema = infer_schema(&grafted(&refs));
+        let map = SchemaMap::new(&schema);
+        let config = EncodeConfig::default();
+        let parts: Vec<SegmentPartial> = refs
+            .iter()
+            .map(|t| build_partial(t, &map, &config))
+            .collect();
+        let mut merge = ForestMerge::new(SchemaMap::new(&schema), &config);
+        let keyed: Vec<(u128, &SegmentPartial)> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (i as u128, p))
+            .collect();
+        merge.update(&keyed);
+        let held = Arc::clone(merge.forest());
+        let before = forest_fingerprint(&held);
+        merge.update(&keyed[..1]);
+        assert_eq!(
+            forest_fingerprint(&held),
+            before,
+            "a reader's forest never changes"
+        );
+        assert_ne!(forest_fingerprint(merge.forest()), before);
     }
 
     fn partial_codec_roundtrip(config: &EncodeConfig) {
@@ -1016,8 +1167,8 @@ mod tests {
             .collect();
         let direct: Vec<&SegmentPartial> = parts.iter().collect();
         let wired: Vec<&SegmentPartial> = decoded.iter().collect();
-        let a = merge_partials(SchemaMap::new(&schema), config, &direct, 1);
-        let b = merge_partials(SchemaMap::new(&schema), config, &wired, 1);
+        let a = merge_partials(SchemaMap::new(&schema), config, &direct);
+        let b = merge_partials(SchemaMap::new(&schema), config, &wired);
         assert_forest_eq(&a, &b);
         assert_eq!(forest_fingerprint(&a), forest_fingerprint(&b));
     }

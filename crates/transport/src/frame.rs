@@ -21,13 +21,17 @@
 //! Version 3 changes two payload layouts: the `Plan` config drops its
 //! `parallel` flag (a thread count of 1 now means sequential), and the
 //! `Pass` task drops its per-pass thread count.
+//!
+//! Version 4 changes what two payloads mean: pushed segment partials
+//! (`XSP2`) number value classes in document order, and relation-pass keys
+//! and the forest fingerprint in the handshake are word-wise digests.
 
 use std::io::{self, Read, Write};
 
 /// Protocol version, checked in the `Join` handshake. Bump on any frame
 /// layout change, including the layouts of the `Plan` config and `Pass`
 /// task payloads.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Hard cap on one frame's payload (a partial of a very large segment
 /// stays far below this); anything bigger is a protocol violation, not an

@@ -69,6 +69,14 @@ impl Interner {
         self.strings.is_empty()
     }
 
+    /// Forget every string interned after the first `len`, so their
+    /// symbols are handed out again in the same order.
+    pub fn truncate(&mut self, len: usize) {
+        for s in self.strings.drain(len.min(self.strings.len())..) {
+            self.map.remove(&s);
+        }
+    }
+
     /// Iterate over `(Symbol, &str)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
         self.strings
@@ -108,6 +116,19 @@ mod tests {
         let s = i.intern("x");
         assert_eq!(i.get("x"), Some(s));
         assert_eq!(i.len(), 1);
+    }
+
+    #[test]
+    fn truncate_forgets_the_tail_only() {
+        let mut i = Interner::new();
+        i.intern("a");
+        i.intern("b");
+        i.intern("c");
+        i.truncate(1);
+        assert_eq!(i.len(), 1);
+        assert_eq!(i.get("a"), Some(Symbol(0)));
+        assert!(i.get("b").is_none());
+        assert_eq!(i.intern("c"), Symbol(1));
     }
 
     #[test]

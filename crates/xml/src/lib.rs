@@ -55,8 +55,8 @@ pub use reader::{parse_reader, parse_reader_with_options, ReadError};
 pub use serialize::{to_xml_string, to_xml_string_with, SerializeOptions};
 pub use tree::{DataTree, NodeId, TreeStats};
 pub use value_eq::{
-    canonical_form, node_value_eq_cross, path_value_eq, preorder_of, CanonicalValue, ClassTable,
-    EqClasses, OrderMode, ShapeExport, ValueClassId,
+    canonical_form, node_value_eq_cross, path_value_eq, preorder_of, CanonicalValue, EqClasses,
+    OrderMode, Shape, ShapeCons, ValueClassId,
 };
 
 /// Label given to the synthetic child that stores the single textual chunk

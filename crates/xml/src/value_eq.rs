@@ -8,12 +8,25 @@
 //! [`EqClasses`] computes, in one bottom-up pass with hash-consing, an
 //! integer *equality class* for every node of a tree such that two nodes are
 //! node-value equal iff their classes are equal. Classes are exact (the
-//! hash-consing map is keyed on the full canonical shape, not on a hash), so
+//! hash-consing table compares full shapes, not just their hashes), so
 //! there are no collisions.
+//!
+//! **Numbering rule.** Class ids are dense and assigned in *document
+//! order*: classes are numbered 0, 1, 2, … in the order their first member
+//! is met by a post-order walk (children before their parent, siblings left
+//! to right — the order of the closing tags). Everything a subtree
+//! introduces is numbered before anything that follows the subtree in the
+//! document. Grafting documents under a fresh root therefore numbers the
+//! first document's classes exactly as that document alone would, the
+//! second's new classes next, and the root's last: ids are prefix-stable
+//! in document order, which is what lets the collection encoder merge only
+//! the documents that changed.
 
-use std::collections::HashMap;
+use std::hash::Hasher;
 
-use crate::intern::Symbol;
+use xfd_hash::FxHasher;
+
+use crate::intern::Interner;
 use crate::tree::{DataTree, NodeId};
 
 /// Equality-class identifier: equal ids ⟺ node-value equal subtrees
@@ -44,14 +57,6 @@ pub struct EqClasses {
     num_classes: u32,
 }
 
-#[derive(PartialEq, Eq, Hash)]
-struct Shape {
-    label: Symbol,
-    value: Option<Box<str>>,
-    /// Sorted multiset of child classes.
-    children: Box<[ValueClassId]>,
-}
-
 impl EqClasses {
     /// Compute equality classes for every node of `tree` with the default
     /// unordered (multiset) semantics.
@@ -59,40 +64,18 @@ impl EqClasses {
         Self::compute_with(tree, OrderMode::Unordered)
     }
 
-    /// Assemble an `EqClasses` from an externally computed class vector
-    /// (indexed by node arena index). Used by the sharded collection
-    /// encoder, which unifies per-segment [`ClassTable`]s into one global
-    /// class space and then needs the ordinary `class_of` interface.
-    pub fn from_raw(class: Vec<ValueClassId>, num_classes: u32) -> Self {
-        EqClasses { class, num_classes }
-    }
-
     /// Compute equality classes under an explicit [`OrderMode`].
     pub fn compute_with(tree: &DataTree, order: OrderMode) -> Self {
-        let n = tree.node_count();
-        let mut class = vec![ValueClassId(0); n];
-        let mut cons: HashMap<Shape, ValueClassId> = HashMap::new();
-        // Parents always have smaller ids than children (arena append
-        // discipline), so a reverse scan is a valid bottom-up order.
-        for idx in (0..n).rev() {
-            let node = NodeId(idx as u32);
-            let mut kids: Vec<ValueClassId> = tree
-                .children(node)
-                .iter()
-                .map(|c| class[c.index()])
-                .collect();
-            if order == OrderMode::Unordered {
-                kids.sort_unstable();
-            }
-            let shape = Shape {
-                label: tree.label_sym(node),
-                value: tree.value(node).map(Into::into),
-                children: kids.into_boxed_slice(),
-            };
-            let next = ValueClassId(cons.len() as u32);
-            let id = *cons.entry(shape).or_insert(next);
-            class[idx] = id;
-        }
+        Self::compute_in(tree, &mut ShapeCons::new(order))
+    }
+
+    /// Number `tree`'s classes into `cons`, under the cons's order, and
+    /// keep the cons: its shapes (strings, children, ids in document
+    /// order) are what the collection encoder ships per segment and
+    /// re-conses in the merge. Classes `cons` already holds keep their ids
+    /// and count towards [`EqClasses::num_classes`].
+    pub fn compute_in(tree: &DataTree, cons: &mut ShapeCons) -> Self {
+        let class = cons.number_tree(tree);
         EqClasses {
             class,
             num_classes: cons.len() as u32,
@@ -115,92 +98,263 @@ impl EqClasses {
     }
 }
 
-/// One hash-consed shape of a [`ClassTable`], exported so shapes can be
-/// re-consed into a *global* class space across several trees. `children`
-/// are local class ids of the same table (always smaller than the shape's
-/// own id, so tables are topologically ordered by construction).
-#[derive(Debug, Clone)]
-pub struct ShapeExport {
-    /// Node label, resolved to a string (symbols are per-tree).
-    pub label: Box<str>,
-    /// Simple value, if any.
-    pub value: Option<Box<str>>,
-    /// Child classes: sorted multiset under [`OrderMode::Unordered`],
-    /// document-order list under [`OrderMode::Ordered`].
-    pub children: Box<[u32]>,
+/// Value slot of a shape without a simple value.
+const NO_VALUE: u32 = u32::MAX;
+/// An empty slot of the index.
+const NO_CLASS: u32 = u32::MAX;
+
+/// FxHash of a shape key.
+fn shape_hash(label: u32, value: u32, children: &[u32]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u32(label);
+    h.write_u32(value);
+    h.write_usize(children.len());
+    for &c in children {
+        h.write_u32(c);
+    }
+    h.finish()
 }
 
-/// Per-tree equality classes in exportable form: class ids are assigned by
-/// first appearance in a **reverse pre-order** scan, and every distinct
-/// class carries its [`ShapeExport`]. Two properties make this the shard
-/// unit of the collection encoder:
+/// One hash-consed shape, borrowed from a [`ShapeCons`]: string ids of the
+/// label and the simple value, and the child classes — a sorted multiset
+/// under [`OrderMode::Unordered`], a document-order list under
+/// [`OrderMode::Ordered`]. Children are always smaller ids than the shape
+/// itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape<'a> {
+    /// String id of the node label.
+    pub label: u32,
+    /// String id of the simple value, if any.
+    pub value: Option<u32>,
+    /// Child classes.
+    pub children: &'a [u32],
+}
+
+/// The hash-consing table behind every value-class numbering: the
+/// [`EqClasses`] of one tree, each collection segment's shapes, and the
+/// collection merge that re-conses those shapes into one class space.
+/// Re-consing several trees' shapes into one cons, tree after tree in
+/// document order and each in id order, reproduces the [`EqClasses`] ids
+/// of the grafted tree verbatim — that is the numbering rule.
 ///
-/// * grafting trees under a fresh root (`TreeWriter::copy_subtree`) assigns
-///   pre-order node ids, so the merged tree's reverse arena scan visits
-///   exactly these nodes in exactly this order, segment blocks reversed;
-/// * re-consing the tables segment-by-segment in reverse segment order
-///   therefore reproduces the merged tree's [`EqClasses`] ids *verbatim*.
+/// [`ShapeCons::cons`] maps a shape (label, value, children) to its class,
+/// handing out the next dense id on first sight. Labels and values are
+/// interned to string ids first; the children go into a reused buffer
+/// (sorted under [`OrderMode::Unordered`]); the key is hashed with FxHash;
+/// and the shape is copied into the flat arena only on a miss, so a hit
+/// allocates nothing.
+///
+/// The index is an open-addressing table of class ids with linear
+/// probing. [`ShapeCons::truncate`] rolls the table back to an earlier
+/// class and string count by clearing the slots of the removed classes,
+/// newest first. Each removed class is then the last one inserted, so
+/// clearing its slot restores the table exactly as it was before that
+/// insert: a rollback costs only the removed classes.
 #[derive(Debug, Clone)]
-pub struct ClassTable {
-    /// Local class id per node, indexed by pre-order rank.
-    pub class_by_rank: Vec<u32>,
-    /// Shape of each local class, indexed by class id.
-    pub shapes: Vec<ShapeExport>,
+pub struct ShapeCons {
+    order: OrderMode,
+    strings: Interner,
+    label: Vec<u32>,
+    value: Vec<u32>,
+    /// End of each class's children in `kids`; a class's children start
+    /// where the previous class's end.
+    kids_end: Vec<u32>,
+    kids: Vec<u32>,
+    /// Class ids by shape hash, `NO_CLASS` when empty; a power of two in
+    /// size and at most three quarters full.
+    slots: Vec<u32>,
+    buf: Vec<u32>,
 }
 
-impl ClassTable {
-    /// Compute the class table of `tree` under `order`.
-    ///
-    /// `preorder` and `rank` must be the tree's pre-order enumeration and
-    /// its inverse (`rank[node.index()]` = pre-order position); callers
-    /// that already hold them avoid a recompute, see [`preorder_of`].
-    pub fn compute(tree: &DataTree, order: OrderMode, preorder: &[NodeId], rank: &[u32]) -> Self {
-        let n = tree.node_count();
-        debug_assert_eq!(preorder.len(), n);
-        let mut class_by_rank = vec![0u32; n];
-        let mut cons: HashMap<Shape, u32> = HashMap::new();
-        let mut shapes: Vec<ShapeExport> = Vec::new();
-        // Children have strictly larger pre-order ranks than their parent,
-        // so the reverse scan is a valid bottom-up order.
-        for r in (0..n).rev() {
-            let node = preorder[r];
-            let mut kids: Vec<ValueClassId> = tree
-                .children(node)
-                .iter()
-                .map(|c| ValueClassId(class_by_rank[rank[c.index()] as usize]))
-                .collect();
-            if order == OrderMode::Unordered {
-                kids.sort_unstable();
-            }
-            let shape = Shape {
-                label: tree.label_sym(node),
-                value: tree.value(node).map(Into::into),
-                children: kids.into_boxed_slice(),
-            };
-            let next = shapes.len() as u32;
-            let id = match cons.entry(shape) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let key = e.key();
-                    shapes.push(ShapeExport {
-                        label: tree.label(node).into(),
-                        value: key.value.clone(),
-                        children: key.children.iter().map(|c| c.0).collect(),
-                    });
-                    *e.insert(next)
-                }
-            };
-            class_by_rank[r] = id;
-        }
-        ClassTable {
-            class_by_rank,
-            shapes,
+impl ShapeCons {
+    /// An empty table comparing children under `order`.
+    pub fn new(order: OrderMode) -> Self {
+        ShapeCons {
+            order,
+            strings: Interner::new(),
+            label: Vec::new(),
+            value: Vec::new(),
+            kids_end: Vec::new(),
+            kids: Vec::new(),
+            slots: vec![NO_CLASS; 16],
+            buf: Vec::new(),
         }
     }
 
-    /// Number of distinct local classes.
-    pub fn num_classes(&self) -> usize {
-        self.shapes.len()
+    /// Number of classes.
+    pub fn len(&self) -> usize {
+        self.label.len()
+    }
+
+    /// True when no class has been consed.
+    pub fn is_empty(&self) -> bool {
+        self.label.is_empty()
+    }
+
+    /// Number of interned label and value strings.
+    pub fn num_strings(&self) -> usize {
+        self.strings.len()
+    }
+
+    /// Intern a label or value string.
+    pub fn intern_str(&mut self, s: &str) -> u32 {
+        self.strings.intern(s).0
+    }
+
+    /// The interned strings, in id order.
+    pub fn strings(&self) -> impl Iterator<Item = &str> {
+        self.strings.iter().map(|(_, s)| s)
+    }
+
+    /// The class of the shape (`label`, `value`, `children`), consing it
+    /// under the next id if it is new. String ids come from
+    /// [`ShapeCons::intern_str`]; children must be classes of this table.
+    pub fn cons(
+        &mut self,
+        label: u32,
+        value: Option<u32>,
+        children: impl IntoIterator<Item = u32>,
+    ) -> u32 {
+        let value = value.unwrap_or(NO_VALUE);
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        buf.extend(children);
+        if self.order == OrderMode::Unordered {
+            buf.sort_unstable();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = shape_hash(label, value, &buf) as usize & mask;
+        loop {
+            let c = self.slots[i];
+            if c == NO_CLASS {
+                break;
+            }
+            let c = c as usize;
+            if self.label[c] == label && self.value[c] == value && self.children_of(c) == &buf[..] {
+                self.buf = buf;
+                return c as u32;
+            }
+            i = (i + 1) & mask;
+        }
+        let id = self.label.len() as u32;
+        self.label.push(label);
+        self.value.push(value);
+        self.kids.extend_from_slice(&buf);
+        self.kids_end.push(self.kids.len() as u32);
+        self.slots[i] = id;
+        self.buf = buf;
+        if self.len() * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        id
+    }
+
+    fn hash_of(&self, class: usize) -> u64 {
+        shape_hash(
+            self.label[class],
+            self.value[class],
+            self.children_of(class),
+        )
+    }
+
+    /// Double the index and re-insert every class in id order, which leaves
+    /// it exactly as inserting them one by one into the larger table would.
+    fn grow(&mut self) {
+        self.slots = vec![NO_CLASS; self.slots.len() * 2];
+        let mask = self.slots.len() - 1;
+        for c in 0..self.len() {
+            let mut i = self.hash_of(c) as usize & mask;
+            while self.slots[i] != NO_CLASS {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = c as u32;
+        }
+    }
+
+    fn children_of(&self, class: usize) -> &[u32] {
+        let start = match class {
+            0 => 0,
+            c => self.kids_end[c - 1] as usize,
+        };
+        &self.kids[start..self.kids_end[class] as usize]
+    }
+
+    /// The shape of `class`, if it exists.
+    fn shape(&self, class: u32) -> Option<Shape<'_>> {
+        let c = class as usize;
+        let label = *self.label.get(c)?;
+        let value = *self.value.get(c)?;
+        Some(Shape {
+            label,
+            value: (value != NO_VALUE).then_some(value),
+            children: self.children_of(c),
+        })
+    }
+
+    /// Every shape, in class-id order.
+    pub fn shapes(&self) -> impl Iterator<Item = Shape<'_>> {
+        (0..self.len() as u32).filter_map(|c| self.shape(c))
+    }
+
+    /// Roll back to the first `classes` classes and `strings` strings, as if
+    /// nothing had been consed or interned after them.
+    pub fn truncate(&mut self, classes: usize, strings: usize) {
+        let mask = self.slots.len() - 1;
+        while self.label.len() > classes {
+            let id = self.label.len() - 1;
+            let mut i = self.hash_of(id) as usize & mask;
+            while self.slots[i] != NO_CLASS {
+                if self.slots[i] == id as u32 {
+                    self.slots[i] = NO_CLASS;
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+            self.label.pop();
+            self.value.pop();
+            self.kids_end.pop();
+            let end = id.checked_sub(1).map_or(0, |p| self.kids_end[p] as usize);
+            self.kids.truncate(end);
+        }
+        self.strings.truncate(strings);
+    }
+
+    /// Rough heap footprint, for cache accounting.
+    pub fn approx_bytes(&self) -> usize {
+        let strings: usize = self.strings().map(|s| s.len() + 40).sum();
+        strings + self.len() * 12 + self.kids.len() * 4 + self.slots.len() * 4
+    }
+
+    /// Number every node of `tree` in document order (see the module
+    /// docs) and return each node's class, indexed by arena id.
+    fn number_tree(&mut self, tree: &DataTree) -> Vec<ValueClassId> {
+        let mut class = vec![ValueClassId(0); tree.node_count()];
+        // Label symbol → string id, so each distinct label hashes once.
+        let mut label_ids = vec![NO_VALUE; tree.interner().len()];
+        let mut stack: Vec<(NodeId, usize)> = vec![(tree.root(), 0)];
+        while let Some(top) = stack.last_mut() {
+            let (node, next) = *top;
+            let kids = tree.children(node);
+            if let Some(&child) = kids.get(next) {
+                top.1 += 1;
+                stack.push((child, 0));
+                continue;
+            }
+            stack.pop();
+            let sym = tree.label_sym(node).index();
+            let label = match label_ids[sym] {
+                NO_VALUE => {
+                    let id = self.intern_str(tree.label(node));
+                    label_ids[sym] = id;
+                    id
+                }
+                id => id,
+            };
+            let value = tree.value(node).map(|v| self.intern_str(v));
+            let id = self.cons(label, value, kids.iter().map(|c| class[c.index()].0));
+            class[node.index()] = ValueClassId(id);
+        }
+        class
     }
 }
 
@@ -362,35 +516,143 @@ mod tests {
     }
 
     #[test]
-    fn class_table_matches_eqclasses_ids_verbatim() {
-        for order in [OrderMode::Unordered, OrderMode::Ordered] {
-            let t = parse("<r><b><x>1</x><y>2</y></b><b><y>2</y><x>1</x></b><b><x>1</x></b></r>")
-                .unwrap();
-            let eq = EqClasses::compute_with(&t, order);
-            let (preorder, rank) = preorder_of(&t);
-            let table = ClassTable::compute(&t, order, &preorder, &rank);
-            // Parser trees are built in document order, so arena order is
-            // pre-order and the ids must line up one-to-one.
-            for node in t.all_nodes() {
-                assert_eq!(
-                    eq.class_of(node).0,
-                    table.class_by_rank[rank[node.index()] as usize],
-                    "class of node {node:?} under {order:?}"
-                );
+    fn shapes_are_topologically_ordered() {
+        let t = parse("<r><a><b>1</b></a><a><b>1</b></a><c>2</c></r>").unwrap();
+        let mut cons = ShapeCons::new(OrderMode::Unordered);
+        let eq = EqClasses::compute_in(&t, &mut cons);
+        assert_eq!(eq.num_classes() as usize, cons.len());
+        for (id, shape) in cons.shapes().enumerate() {
+            for &child in shape.children {
+                assert!((child as usize) < id, "child class precedes parent");
             }
-            assert_eq!(eq.num_classes() as usize, table.num_classes());
         }
     }
 
     #[test]
-    fn class_table_shapes_are_topologically_ordered() {
-        let t = parse("<r><a><b>1</b></a><a><b>1</b></a><c>2</c></r>").unwrap();
-        let (preorder, rank) = preorder_of(&t);
-        let table = ClassTable::compute(&t, OrderMode::Unordered, &preorder, &rank);
-        for (id, shape) in table.shapes.iter().enumerate() {
-            for &child in shape.children.iter() {
-                assert!((child as usize) < id, "child class precedes parent");
+    fn reconsing_shapes_reproduces_the_grafted_numbering() {
+        // The merge rule: re-cons each document's shapes, in order, into
+        // one cons; the ids equal those of the grafted tree.
+        for order in [OrderMode::Unordered, OrderMode::Ordered] {
+            let docs = [
+                "<d><b><x>1</x><y>2</y></b><b><y>2</y><x>1</x></b></d>",
+                "<d><b><x>1</x></b><c>3</c></d>",
+            ];
+            let grafted = parse(&format!("<all>{}{}</all>", docs[0], docs[1])).unwrap();
+            let want = EqClasses::compute_with(&grafted, order);
+            let mut global = ShapeCons::new(order);
+            let mut offset = 1;
+            for doc in docs {
+                let t = parse(doc).unwrap();
+                let mut local = ShapeCons::new(order);
+                let eq = EqClasses::compute_in(&t, &mut local);
+                let strings: Vec<u32> = local.strings().map(|s| global.intern_str(s)).collect();
+                let mut map: Vec<u32> = Vec::new();
+                for shape in local.shapes() {
+                    let kids = shape.children.iter().map(|&c| map[c as usize]);
+                    let value = shape.value.map(|v| strings[v as usize]);
+                    let id = global.cons(strings[shape.label as usize], value, kids);
+                    map.push(id);
+                }
+                for n in t.all_nodes() {
+                    let g = NodeId(n.0 + offset);
+                    assert_eq!(
+                        map[eq.class_of(n).0 as usize],
+                        want.class_of(g).0,
+                        "{order:?}"
+                    );
+                }
+                offset += t.node_count() as u32;
             }
+        }
+    }
+
+    #[test]
+    fn classes_are_numbered_in_document_order() {
+        // Post-order first appearance: x=1, a, y=2, b, then the root.
+        let t = parse("<r><a><x>1</x></a><b><y>2</y></b><a><x>1</x></a></r>").unwrap();
+        let eq = EqClasses::compute(&t);
+        let ids: Vec<u32> = t.all_nodes().map(|n| eq.class_of(n).0).collect();
+        // Arena (pre-order): r, a, x, b, y, a, x.
+        assert_eq!(ids, vec![4, 1, 0, 3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn grafting_keeps_the_first_documents_ids() {
+        // Prefix stability: a document's classes keep their ids when later
+        // documents are grafted after it.
+        let first = "<d><a>1</a><b><a>1</a><c>2</c></b></d>";
+        let t1 = parse(first).unwrap();
+        let alone = EqClasses::compute(&t1);
+        let both = parse(&format!("<all>{first}<d><c>3</c><a>1</a></d></all>")).unwrap();
+        let grafted = EqClasses::compute(&both);
+        for n in t1.all_nodes() {
+            // The first document occupies arena ids 1.. in the graft.
+            let g = NodeId(n.0 + 1);
+            assert_eq!(alone.class_of(n), grafted.class_of(g));
+        }
+    }
+
+    #[test]
+    fn cons_truncate_hands_out_the_same_ids_again() {
+        let mut cons = ShapeCons::new(OrderMode::Unordered);
+        let a = cons.intern_str("a");
+        let one = cons.intern_str("1");
+        let leaf = cons.cons(a, Some(one), []);
+        let pair = cons.cons(a, None, [leaf, leaf]);
+        let (classes, strings) = (cons.len(), cons.num_strings());
+        let two = cons.intern_str("2");
+        let leaf2 = cons.cons(a, Some(two), []);
+        let mixed = cons.cons(a, None, [leaf2, leaf]);
+        assert_eq!((leaf, pair, leaf2, mixed), (0, 1, 2, 3));
+        cons.truncate(classes, strings);
+        assert_eq!(cons.len(), 2);
+        assert_eq!(
+            cons.cons(a, None, [leaf, leaf]),
+            pair,
+            "kept classes still hit"
+        );
+        let b = cons.intern_str("b");
+        assert_eq!(b, two, "string ids are handed out again");
+        assert_eq!(
+            cons.cons(b, None, [leaf]),
+            2,
+            "class ids are handed out again"
+        );
+        assert_eq!(cons.shape(2).map(|s| s.children), Some(&[leaf][..]));
+    }
+
+    #[test]
+    fn cons_truncate_is_exact_across_index_growth() {
+        let mut cons = ShapeCons::new(OrderMode::Unordered);
+        let l = cons.intern_str("l");
+        let values: Vec<u32> = (0..200).map(|i| cons.intern_str(&i.to_string())).collect();
+        let leaves: Vec<u32> = values.iter().map(|&v| cons.cons(l, Some(v), [])).collect();
+        assert_eq!(leaves, (0..200).collect::<Vec<u32>>());
+        cons.truncate(10, 11);
+        for (i, &v) in values.iter().take(10).enumerate() {
+            assert_eq!(
+                cons.cons(l, Some(v), []),
+                i as u32,
+                "kept class {i} still hits"
+            );
+        }
+        let again = cons.intern_str("150");
+        assert_eq!(again, 11);
+        assert_eq!(cons.cons(l, Some(again), []), 10, "ids resume in order");
+        assert_eq!(cons.len(), 11);
+    }
+
+    #[test]
+    fn cons_sorts_children_only_when_unordered() {
+        for (order, same) in [(OrderMode::Unordered, true), (OrderMode::Ordered, false)] {
+            let mut cons = ShapeCons::new(order);
+            let l = cons.intern_str("l");
+            let v = cons.intern_str("v");
+            let x = cons.cons(l, Some(v), []);
+            let y = cons.cons(l, None, []);
+            let xy = cons.cons(l, None, [x, y]);
+            let yx = cons.cons(l, None, [y, x]);
+            assert_eq!(xy == yx, same, "{order:?}");
         }
     }
 

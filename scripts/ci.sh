@@ -292,4 +292,11 @@ grep -q '"workers_lost": 0' "$BENCH_CLUSTER_OUT" \
   || { echo "expected zero lost workers in $BENCH_CLUSTER_OUT"; exit 1; }
 echo "   cluster bench parity held, zero workers lost"
 
+echo "== xfdbench smoke"
+# The benchmark is its own workspace (xfdbench/Cargo.toml); its smoke test
+# runs every workload at tiny scale and fails on any op whose output
+# differs from its reference.
+cargo test --release --offline --manifest-path xfdbench/Cargo.toml
+echo "   every xfdbench workload ran clean at smoke scale"
+
 echo "CI OK"
