@@ -8,9 +8,11 @@
 //! encode + pass phases, not cache replay. All four reports must agree
 //! byte-for-byte on everything before the wall-clock tail, every worker
 //! must survive the run, and the 4-worker cold time must beat the
-//! 1-worker cold time (asserted when the host has >= 4 cores). Timings
-//! and per-run task counters land in `BENCH_cluster.json` (or the path
-//! given as the first argument).
+//! 1-worker cold time (asserted when the host has >= 4 cores). A warm
+//! pool is then timed three ways: the cold first discovery, a repeat on
+//! the unchanged corpus, and a discovery after one document was added
+//! (the workers re-plan in place). Timings and per-run task counters land
+//! in `BENCH_cluster.json` (or the path given as the first argument).
 //!
 //! The intra-pass thread count is pinned to 1 so process-level fan-out
 //! is the only parallelism under test.
@@ -24,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use discoverxfd::report::render_json;
 use discoverxfd::DiscoveryConfig;
-use xfd_cluster::{cluster_discover, ClusterOptions, ClusterStats, PushMode, WorkerPool};
+use xfd_cluster::{cluster_discover, ClusterOptions, ClusterStats, WorkerPool};
 use xfd_corpus::{CorpusHandle, CorpusStore};
 use xfd_xml::{parse_reader, DataTree};
 
@@ -127,24 +129,12 @@ fn seed(store: &CorpusStore, tag: &str, smoke: bool) -> CorpusHandle {
 /// Seed a fresh corpus under `tag` and run one cold discovery over
 /// `workers` subprocesses (0 = plain in-process discovery).
 fn measure(store: &CorpusStore, tag: &str, workers: usize, smoke: bool) -> Measured {
-    measure_with(store, tag, workers, smoke, PushMode::Auto)
-}
-
-/// Like [`measure`], with the forest-distribution strategy pinned.
-fn measure_with(
-    store: &CorpusStore,
-    tag: &str,
-    workers: usize,
-    smoke: bool,
-    push_mode: PushMode,
-) -> Measured {
     let config = bench_config();
     let mut handle = seed(store, tag, smoke);
 
     let opts = ClusterOptions {
         workers,
         worker_command: worker_command(),
-        push_mode,
         ..ClusterOptions::default()
     };
     let t0 = Instant::now();
@@ -229,38 +219,6 @@ fn main() {
         );
     }
 
-    // Push economy: the same cold 2-worker run with each forest
-    // distribution strategy pinned. Auto ships the merged forest once
-    // when a worker misses more than half the distinct partials
-    // (missing/distinct > 0.5) and pushes per-partial otherwise; both
-    // pinned paths must agree with the baseline byte for byte.
-    let push_partials = measure_with(&store, "bench-push-partials", 2, smoke, PushMode::Partials);
-    let push_forest = measure_with(&store, "bench-push-forest", 2, smoke, PushMode::Forest);
-    for run in [&push_partials, &push_forest] {
-        assert_eq!(
-            stable(&run.report),
-            stable(&baseline.report),
-            "pinned push-mode report must stay byte-identical"
-        );
-    }
-    assert!(
-        push_partials.stats.partials_pushed > 0 && push_partials.stats.forest_ships == 0,
-        "partials mode must push partials only ({})",
-        push_partials.stats.summary()
-    );
-    assert!(
-        push_forest.stats.forest_ships > 0,
-        "forest mode must ship the merged forest ({})",
-        push_forest.stats.summary()
-    );
-    eprintln!(
-        "push economy at 2 workers: partials {:.1} ms ({} pushed), forest {:.1} ms ({} ships)",
-        push_partials.ms,
-        push_partials.stats.partials_pushed,
-        push_forest.ms,
-        push_forest.stats.forest_ships
-    );
-
     // Warm pool: the second serve-mode discovery against the same pool
     // skips worker spawn, handshake, and forest distribution entirely.
     let config = bench_config();
@@ -303,6 +261,37 @@ fn main() {
     );
     let pool_speedup = pool_cold_ms / pool_warm_ms;
     eprintln!("pool: cold {pool_cold_ms:.1} ms, warm {pool_warm_ms:.1} ms ({pool_speedup:.2}x)");
+
+    // Changed corpus: one more document under the same schema, then a
+    // discovery through the warm entry. The workers re-plan in place and
+    // merge only the new document's partial; no process is spawned.
+    let extra = parse_str(&synthetic_doc(0, DOCS_PER_CATEGORY, smoke)).expect("parse extra doc");
+    pool_handle
+        .add_doc("cat0-extra", &extra)
+        .expect("add extra doc");
+    let t2 = Instant::now();
+    let changed = pool
+        .discover(&mut pool_handle, &config)
+        .expect("pool changed-corpus discover");
+    let pool_changed_ms = t2.elapsed().as_secs_f64() * 1e3;
+    assert!(
+        changed.warm && pool.snapshot().reaped_total == 0,
+        "a corpus change must re-plan the warm entry, not respawn it ({})",
+        changed.stats.summary()
+    );
+    let reference = store
+        .open_readonly("bench-pool")
+        .expect("open pooled corpus")
+        .discover(&config);
+    assert_eq!(
+        stable(&render_json(&changed.outcome)),
+        stable(&render_json(&reference)),
+        "changed-corpus pooled report must match the in-process run"
+    );
+    eprintln!(
+        "pool: changed corpus {pool_changed_ms:.1} ms ({})",
+        changed.stats.summary()
+    );
     pool.shutdown_all();
 
     let _ = std::fs::remove_dir_all(&root);
@@ -311,7 +300,7 @@ fn main() {
     let _ = write!(
         json,
         "    \"docs\": {docs},\n    \"categories\": {CATEGORIES},\n    \
-         \"rows_per_doc\": {},\n    \"cores\": {cores},\n    \"smoke\": {smoke},\n    \
+         \"rows_per_doc\": {},\n    \"available_parallelism\": {cores},\n    \"smoke\": {smoke},\n    \
          \"single_process_ms\": {:.1},\n    \"speedup_4_over_1\": {speedup:.2},\n",
         rows_per_doc(smoke),
         baseline.ms,
@@ -341,17 +330,9 @@ fn main() {
     }
     let _ = writeln!(
         json,
-        "    \"push\": {{\"partials_ms\": {:.1}, \"partials_pushed\": {}, \"forest_ms\": {:.1}, \
-         \"forest_ships\": {}, \"auto_crossover_missing_fraction\": 0.5}},",
-        push_partials.ms,
-        push_partials.stats.partials_pushed,
-        push_forest.ms,
-        push_forest.stats.forest_ships
-    );
-    let _ = writeln!(
-        json,
         "    \"pool\": {{\"cold_ms\": {pool_cold_ms:.1}, \"warm_ms\": {pool_warm_ms:.1}, \
-         \"speedup\": {pool_speedup:.2}, \"warm_hit\": true}},"
+         \"changed_ms\": {pool_changed_ms:.1}, \"speedup\": {pool_speedup:.2}, \
+         \"warm_hit\": true}},"
     );
     json.push_str("    \"workers_lost\": 0\n  }\n}\n");
     std::fs::write(&out_path, json).expect("write results");

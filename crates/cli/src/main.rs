@@ -66,7 +66,6 @@ const USAGE: &str = "usage:
                        (persistent multi-document corpora; default root ./corpora)
   discoverxfd cluster discover <corpus> [--root DIR] [--workers N] [--worker-timeout SECS]
                                [--remote HOST:PORT,...] [--token T]
-                               [--push-mode auto|partials|forest]
                                [--json|--markdown] [--max-lhs N] [--no-inter]
                                [--keep-uninteresting] [--threads N] [--cache-budget BYTES]
                                [--memo-budget BYTES] [--no-error-only-kernel]
@@ -787,7 +786,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
             "--kill-worker-after",
             "--remote",
             "--token",
-            "--push-mode",
             "--max-lhs",
             "--threads",
             "--cache-budget",
@@ -824,18 +822,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     }
     if let Some(token) = opt_value::<String>(rest, "--token")? {
         opts.token = token;
-    }
-    if let Some(mode) = opt_value::<String>(rest, "--push-mode")? {
-        opts.push_mode = match mode.as_str() {
-            "auto" => xfd_cluster::PushMode::Auto,
-            "partials" => xfd_cluster::PushMode::Partials,
-            "forest" => xfd_cluster::PushMode::Forest,
-            other => {
-                return Err(format!(
-                    "push-mode: expected auto|partials|forest, got {other:?}"
-                ))
-            }
-        };
     }
 
     let mut handle = CorpusStore::new(&root)

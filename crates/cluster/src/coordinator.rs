@@ -1,6 +1,7 @@
 //! The coordinator: spawn (or dial) workers, handshake them against the
-//! plan fingerprint, drive the encode / forest / pass phases, and keep
-//! the run deterministic no matter what the workers do.
+//! plan fingerprint (and, for a pooled cluster, re-plan them in place
+//! after a corpus change), drive the encode / forest / pass phases, and
+//! keep the run deterministic no matter what the workers do.
 //!
 //! Transport: every connection is a [`Stream`] trait object — a Unix
 //! socket to a spawned subprocess, or TCP to a `worker --listen` peer
@@ -37,7 +38,7 @@ use xfd_schema::SchemaMap;
 use xfd_transport::{join_auth, plan_auth, Endpoint, Stream};
 
 use crate::frame::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
-use crate::{ClusterError, ClusterOptions, ClusterStats, PushMode};
+use crate::{ClusterError, ClusterOptions, ClusterStats};
 
 /// Event-loop tick: bounds how stale liveness checks can get while
 /// waiting for frames.
@@ -134,8 +135,11 @@ pub struct Cluster {
     events: Receiver<Event>,
     stats: ClusterStats,
     worker_timeout: Duration,
+    /// Bound on every step of plan admission, first handshake or re-plan.
+    handshake_timeout: Duration,
     max_task_retries: usize,
-    push_mode: PushMode,
+    /// [`plan_auth`] of the coordinator's token, sent in every `Plan`.
+    plan_auth: u128,
     /// Fault injection: kill the worker that received the Nth pass task.
     kill_after: Option<u64>,
     assigned_passes: u64,
@@ -146,6 +150,15 @@ pub struct Cluster {
     last_forest_fp: Option<u128>,
     /// Unix socket to unlink on teardown (spawned pools only).
     socket_path: Option<PathBuf>,
+}
+
+/// The corpus directory as the `Plan` frame carries it.
+fn corpus_dir(handle: &CorpusHandle) -> Result<String, ClusterError> {
+    handle
+        .dir()
+        .to_str()
+        .map(str::to_string)
+        .ok_or_else(|| ClusterError::Config("corpus path is not valid UTF-8".into()))
 }
 
 impl Cluster {
@@ -161,11 +174,7 @@ impl Cluster {
         handle: &CorpusHandle,
         config: &DiscoveryConfig,
     ) -> Result<Cluster, ClusterError> {
-        let dir_str = handle
-            .dir()
-            .to_str()
-            .ok_or_else(|| ClusterError::Config("corpus path is not valid UTF-8".into()))?
-            .to_string();
+        let dir = corpus_dir(handle)?;
         let handshake_timeout = opts.worker_timeout.max(Duration::from_secs(10));
         let is_remote = !opts.remote.is_empty();
         let mut stats = ClusterStats::default();
@@ -277,132 +286,38 @@ impl Cluster {
             }
         }
 
-        // Handshake each connection: Join (version + token digest) →
-        // Plan → [SegHave → SegManifest + SegData*] → PlanAck.
-        // Rejections and silence both count as handshake failures.
-        let config_bytes = encode_config(config);
-        let expected_join = join_auth(&opts.token);
-        let sent_plan_auth = plan_auth(&opts.token);
-        let mut admitted: Vec<(Option<u32>, Box<dyn Stream>)> = Vec::new();
-        let mut mismatch_fp = None;
-        let mut auth_failures = 0u64;
-        for mut stream in conns {
-            stream.set_read_timeout(Some(handshake_timeout)).ok();
-            let index = match read_frame(&mut stream) {
-                Ok(Some(Frame::Join {
-                    version,
-                    index,
-                    auth,
-                })) if version == PROTOCOL_VERSION => {
-                    if auth != expected_join {
-                        // Wrong shared secret: explicit, typed rejection —
-                        // the worker gets a Shutdown, never a hang.
-                        stats.handshake_failures += 1;
-                        auth_failures += 1;
-                        write_frame(&mut stream, &Frame::Shutdown).ok();
-                        continue;
-                    }
-                    index
-                }
-                _ => {
-                    stats.handshake_failures += 1;
-                    continue;
-                }
-            };
-            let plan = Frame::Plan {
-                plan_fp,
-                auth: sent_plan_auth,
-                corpus_dir: dir_str.clone(),
-                config: config_bytes.clone(),
-            };
-            if write_frame(&mut stream, &plan).is_err() {
-                stats.handshake_failures += 1;
-                continue;
-            }
-            // One shipping round at most; then the PlanAck decides.
-            let mut shipped = false;
-            loop {
-                match read_frame(&mut stream) {
-                    Ok(Some(Frame::PlanAck { plan_fp: got })) if got == plan_fp => {
-                        stream.set_read_timeout(None).ok();
-                        let claim = (!is_remote).then_some(index);
-                        admitted.push((claim, stream));
-                        break;
-                    }
-                    Ok(Some(Frame::PlanAck { plan_fp: got })) => {
-                        stats.handshake_failures += 1;
-                        mismatch_fp = Some(got);
-                        write_frame(&mut stream, &Frame::Shutdown).ok();
-                        break;
-                    }
-                    Ok(Some(Frame::SegHave { digests })) if !shipped => {
-                        shipped = true;
-                        let have: HashSet<u128> = digests.into_iter().collect();
-                        if !ship_segments(&mut stream, handle, &have, &mut stats) {
-                            stats.handshake_failures += 1;
-                            break;
-                        }
-                    }
-                    _ => {
-                        stats.handshake_failures += 1;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Children that never made it through the handshake are dead
-        // weight: reap them now.
-        let admitted_idx: HashSet<u32> = admitted.iter().filter_map(|(i, _)| *i).collect();
-        for (i, slot) in claimed.iter_mut().enumerate() {
-            if !admitted_idx.contains(&(i as u32)) {
-                if let Some(mut child) = slot.take() {
-                    stats.handshake_failures += 1;
-                    child.kill().ok();
-                    child.wait().ok();
-                }
-            }
-        }
-
-        if admitted.is_empty() {
-            if let Some(path) = &socket_path {
-                std::fs::remove_file(path).ok();
-            }
-            if let Some(got) = mismatch_fp {
-                return Err(ClusterError::PlanMismatch {
-                    expected: plan_fp,
-                    got,
-                });
-            }
-            if auth_failures > 0 {
-                return Err(ClusterError::AuthFailed);
-            }
-        }
-
+        // Every connection gets its reader thread up front; the handshake
+        // then runs on the event channel, all workers at once.
         let (tx, events) = channel();
-        let mut workers = Vec::with_capacity(admitted.len());
-        let mut readers = Vec::with_capacity(admitted.len());
-        for (index, stream) in admitted {
-            let child = match index {
-                Some(i) => {
-                    let Some(child) = claimed.get_mut(i as usize).and_then(Option::take) else {
-                        // A worker claimed an index we never spawned:
-                        // drop it.
-                        stats.handshake_failures += 1;
-                        continue;
-                    };
-                    Some(child)
-                }
-                // Remote workers are slotted by connection order; their
-                // processes belong to another host.
-                None => None,
+        let mut cluster = Cluster {
+            workers: Vec::with_capacity(conns.len()),
+            readers: Vec::with_capacity(conns.len()),
+            events,
+            stats,
+            worker_timeout: opts.worker_timeout,
+            handshake_timeout,
+            max_task_retries: opts.max_task_retries,
+            plan_auth: plan_auth(&opts.token),
+            kill_after: opts.kill_worker_after,
+            assigned_passes: 0,
+            next_task_id: 0,
+            rr: 0,
+            last_forest_fp: None,
+            socket_path,
+        };
+        for stream in conns {
+            let Ok(read_half) = stream.try_clone_stream() else {
+                cluster.stats.handshake_failures += 1;
+                stream.shutdown_both().ok();
+                continue;
             };
-            let slot = workers.len();
-            let read_half = stream.try_clone_stream()?;
+            let slot = cluster.workers.len();
             let tx = tx.clone();
-            readers.push(std::thread::spawn(move || reader_loop(read_half, slot, tx)));
-            workers.push(WorkerConn {
-                child,
+            cluster
+                .readers
+                .push(std::thread::spawn(move || reader_loop(read_half, slot, tx)));
+            cluster.workers.push(WorkerConn {
+                child: None,
                 stream,
                 alive: true,
                 reaped: false,
@@ -412,22 +327,207 @@ impl Cluster {
                 has: HashSet::new(),
             });
         }
+        drop(tx);
 
-        Ok(Cluster {
-            workers,
-            readers,
-            events,
-            stats,
-            worker_timeout: opts.worker_timeout,
-            max_task_retries: opts.max_task_retries,
-            push_mode: opts.push_mode,
-            kill_after: opts.kill_worker_after,
-            assigned_passes: 0,
-            next_task_id: 0,
-            rr: 0,
-            last_forest_fp: None,
-            socket_path,
-        })
+        // Handshake: Join (version + token digest) → plan admission.
+        // Rejections and silence both count as handshake failures.
+        let auth_failures = cluster.await_joins(&mut claimed, is_remote, &opts.token);
+        // Children that never joined are dead weight: reap them now.
+        for slot in &mut claimed {
+            if let Some(mut child) = slot.take() {
+                cluster.stats.handshake_failures += 1;
+                child.kill().ok();
+                child.wait().ok();
+            }
+        }
+        let mismatch_fp = cluster.admit_plan(handle, dir, plan_fp, config);
+        if cluster.live_count() == 0 {
+            if let Some(got) = mismatch_fp {
+                cluster.shutdown();
+                return Err(ClusterError::PlanMismatch {
+                    expected: plan_fp,
+                    got,
+                });
+            }
+            if auth_failures > 0 {
+                cluster.shutdown();
+                return Err(ClusterError::AuthFailed);
+            }
+        }
+        Ok(cluster)
+    }
+
+    /// Handshake step 1 on every fresh connection: a `Join` carrying our
+    /// protocol version and token digest, within the handshake timeout. A
+    /// spawned worker's `Join` also claims its child process by index.
+    /// Returns how many workers failed the token check.
+    fn await_joins(&mut self, claimed: &mut [Option<Child>], remote: bool, token: &str) -> u64 {
+        let expected = join_auth(token);
+        let mut waiting: HashSet<usize> = (0..self.workers.len()).collect();
+        let mut auth_failures = 0u64;
+        let deadline = Instant::now() + self.handshake_timeout;
+        while !waiting.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            match self.events.recv_timeout(left.min(TICK)) {
+                Ok(Event::Frame(slot, frame)) if waiting.remove(&slot) => match frame {
+                    Frame::Join {
+                        version,
+                        index,
+                        auth,
+                    } if version == PROTOCOL_VERSION => {
+                        if auth != expected {
+                            // Wrong shared secret: explicit, typed
+                            // rejection — the worker gets a Shutdown,
+                            // never a hang.
+                            auth_failures += 1;
+                            self.send_to(slot, &Frame::Shutdown);
+                            self.reject(slot);
+                        } else if !remote {
+                            let child = claimed.get_mut(index as usize).and_then(Option::take);
+                            match (child, self.workers.get_mut(slot)) {
+                                (Some(child), Some(w)) => w.child = Some(child),
+                                // A worker claimed an index we never
+                                // spawned (or one already taken): drop it.
+                                _ => self.reject(slot),
+                            }
+                        }
+                    }
+                    _ => self.reject(slot),
+                },
+                Ok(Event::Frame(..)) => {}
+                Ok(Event::Gone(slot)) => {
+                    if waiting.remove(&slot) {
+                        self.reject(slot);
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        for slot in waiting {
+            self.reject(slot);
+        }
+        auth_failures
+    }
+
+    /// Plan admission, the same for a fresh cluster's handshake and for a
+    /// pooled cluster's re-plan: send `Plan` to every live worker, ship
+    /// segments to those that announce a cache (`SegHave`) instead of
+    /// reading the corpus directory, and keep the workers that ack
+    /// `plan_fp` within the handshake timeout. A worker that acks another
+    /// fingerprint, breaks the protocol or stays silent is dropped as a
+    /// handshake failure. Returns a rejected fingerprint, for the typed
+    /// error when nobody was admitted.
+    fn admit_plan(
+        &mut self,
+        handle: &CorpusHandle,
+        corpus_dir: String,
+        plan_fp: u128,
+        config: &DiscoveryConfig,
+    ) -> Option<u128> {
+        let plan = Frame::Plan {
+            plan_fp,
+            auth: self.plan_auth,
+            corpus_dir,
+            config: encode_config(config),
+        };
+        // Slot → whether its one shipping round is spent.
+        let mut waiting: HashMap<usize, bool> = HashMap::new();
+        for slot in 0..self.workers.len() {
+            let sent = match self.workers.get_mut(slot) {
+                Some(w) if w.alive => write_frame(&mut w.stream, &plan).is_ok(),
+                _ => continue,
+            };
+            if sent {
+                waiting.insert(slot, false);
+            } else {
+                self.reject(slot);
+            }
+        }
+        let mut mismatch_fp = None;
+        let deadline = Instant::now() + self.handshake_timeout;
+        while !waiting.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            let (slot, frame) = match self.events.recv_timeout(left.min(TICK)) {
+                Ok(Event::Frame(slot, frame)) => (slot, frame),
+                Ok(Event::Gone(slot)) => {
+                    if waiting.remove(&slot).is_some() {
+                        self.reject(slot);
+                    }
+                    continue;
+                }
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            let Some(shipped) = waiting.get_mut(&slot) else {
+                continue;
+            };
+            match frame {
+                Frame::PlanAck { plan_fp: got } => {
+                    waiting.remove(&slot);
+                    if got == plan_fp {
+                        self.touch(slot);
+                    } else {
+                        mismatch_fp = Some(got);
+                        self.send_to(slot, &Frame::Shutdown);
+                        self.reject(slot);
+                    }
+                }
+                Frame::SegHave { digests } if !*shipped => {
+                    *shipped = true;
+                    let have: HashSet<u128> = digests.into_iter().collect();
+                    let sent = match self.workers.get_mut(slot) {
+                        Some(w) => ship_segments(&mut w.stream, handle, &have, &mut self.stats),
+                        None => false,
+                    };
+                    if !sent {
+                        waiting.remove(&slot);
+                        self.reject(slot);
+                    }
+                }
+                // A late answer to a health-check ping.
+                Frame::Pong => {}
+                _ => {
+                    waiting.remove(&slot);
+                    self.reject(slot);
+                }
+            }
+        }
+        for slot in waiting.into_keys() {
+            self.reject(slot);
+        }
+        mismatch_fp
+    }
+
+    /// Re-plan a pooled cluster in place after the corpus changed under
+    /// an unchanged plan key: every live worker refreshes its document
+    /// view — reading, or being shipped, only the segments it lacks — and
+    /// must ack `plan_fp` again, through the same admission as the first
+    /// handshake. The partials a worker holds survive for the documents
+    /// still in the corpus, so the next forest distribution pushes only
+    /// the new ones. Returns how many workers are left.
+    pub(crate) fn replan(
+        &mut self,
+        handle: &CorpusHandle,
+        plan_fp: u128,
+        config: &DiscoveryConfig,
+    ) -> usize {
+        let Ok(dir) = corpus_dir(handle) else {
+            return 0;
+        };
+        let live: HashSet<u128> = handle.doc_digests().into_iter().collect();
+        for w in &mut self.workers {
+            w.forest_ready = false;
+            w.has.retain(|d| live.contains(d));
+        }
+        self.admit_plan(handle, dir, plan_fp, config);
+        self.live_count()
     }
 
     fn live_count(&self) -> usize {
@@ -464,18 +564,37 @@ impl Cluster {
         None
     }
 
+    /// Cut a worker loose: kill a spawned child, or shut a remote
+    /// connection (either way its reader thread ends). Returns whether it
+    /// was alive.
+    fn cut_loose(&mut self, slot: usize) -> bool {
+        let Some(w) = self.workers.get_mut(slot) else {
+            return false;
+        };
+        if !w.alive {
+            return false;
+        }
+        w.alive = false;
+        if let Some(child) = w.child.as_mut() {
+            child.kill().ok();
+        }
+        // For a remote worker this is the whole funeral; either way it
+        // unblocks the reader thread.
+        w.stream.shutdown_both().ok();
+        true
+    }
+
+    /// A worker died, went silent or misbehaved after admission.
     fn mark_dead(&mut self, slot: usize) {
-        if let Some(w) = self.workers.get_mut(slot) {
-            if w.alive {
-                w.alive = false;
-                if let Some(child) = w.child.as_mut() {
-                    child.kill().ok();
-                }
-                // For a remote worker this is the whole funeral; either
-                // way it unblocks the reader thread.
-                w.stream.shutdown_both().ok();
-                self.stats.workers_lost += 1;
-            }
+        if self.cut_loose(slot) {
+            self.stats.workers_lost += 1;
+        }
+    }
+
+    /// A worker failed plan admission (handshake or re-plan).
+    fn reject(&mut self, slot: usize) {
+        if self.cut_loose(slot) {
+            self.stats.handshake_failures += 1;
         }
     }
 
@@ -555,7 +674,6 @@ impl Cluster {
         self.stats.tasks_retried = 0;
         self.stats.tasks_fallback = 0;
         self.stats.partials_pushed = 0;
-        self.stats.forest_ships = 0;
         self.stats.segments_shipped = 0;
         self.stats.segment_ship_bytes = 0;
     }
@@ -681,14 +799,13 @@ impl Cluster {
         }
     }
 
-    /// Phase 2: bring every worker up to the merged forest. Small gaps
-    /// are filled with per-partial `Push` frames; a worker missing more
-    /// than half the partials gets the whole set in one `ForestShip`
-    /// frame, encoded once and broadcast (`PushMode` can force either
-    /// path). Then each worker merges in the coordinator's exact document
-    /// order and must ack with the same forest fingerprint to stay
-    /// eligible for passes. A pooled cluster that already acked this
-    /// exact fingerprint skips the phase entirely.
+    /// Phase 2: bring every worker up to the merged forest. Each worker
+    /// gets a `Push` of every partial it lacks — after a re-plan, only
+    /// the new documents' — then a `Build`: it merges in the
+    /// coordinator's exact document order, resuming its own merge from
+    /// the longest unchanged prefix, and must ack with the same forest
+    /// fingerprint to stay eligible for passes. A pooled cluster that
+    /// already acked this exact fingerprint skips the phase entirely.
     pub(crate) fn distribute_forest(
         &mut self,
         handle: &CorpusHandle,
@@ -716,71 +833,35 @@ impl Cluster {
                 distinct.push(d);
             }
         }
-        // The batched frame and its digest list are built at most once,
-        // however many workers need them.
-        let mut ship_frame: Option<Frame> = None;
-        let mut ship_digests: Vec<u128> = Vec::new();
+        // Each partial is encoded at most once, however many workers
+        // lack it.
+        let mut encoded: HashMap<u128, Vec<u8>> = HashMap::new();
         let mut waiting: HashSet<usize> = HashSet::new();
         for slot in 0..self.workers.len() {
             let missing: Vec<u128> = match self.workers.get(slot) {
                 Some(w) if w.alive => distinct
                     .iter()
                     .copied()
-                    .filter(|d| {
-                        // No cached partial (cold forest cache): the
-                        // worker rebuilds from its own tree during Build.
-                        !w.has.contains(d) && handle.partial(plan.plan_fp(), *d).is_some()
-                    })
+                    .filter(|d| !w.has.contains(d))
                     .collect(),
                 _ => continue,
             };
-            let use_ship = match self.push_mode {
-                PushMode::Partials => false,
-                PushMode::Forest => !missing.is_empty(),
-                PushMode::Auto => missing.len() * 2 > distinct.len(),
-            };
             let mut writable = true;
-            if use_ship {
-                if ship_frame.is_none() {
-                    let partials: Vec<(u128, Vec<u8>)> = distinct
-                        .iter()
-                        .copied()
-                        .filter_map(|d| {
-                            handle
-                                .partial(plan.plan_fp(), d)
-                                .map(|p| (d, encode_partial(&p)))
-                        })
-                        .collect();
-                    ship_digests = partials.iter().map(|(d, _)| *d).collect();
-                    ship_frame = Some(Frame::ForestShip { partials });
-                }
-                let sent = match &ship_frame {
-                    Some(frame) => self.send_to(slot, frame),
-                    None => false,
+            for digest in missing {
+                // No cached partial (cold forest cache): the worker
+                // builds it from its own tree during Build.
+                let Some(partial) = handle.partial(plan.plan_fp(), digest) else {
+                    continue;
                 };
-                if sent {
-                    self.stats.forest_ships += 1;
-                    if let Some(w) = self.workers.get_mut(slot) {
-                        w.has.extend(ship_digests.iter().copied());
-                    }
+                let bytes = encoded
+                    .entry(digest)
+                    .or_insert_with(|| encode_partial(&partial))
+                    .clone();
+                if self.send_to(slot, &Frame::Push { digest, bytes }) {
+                    self.stats.partials_pushed += 1;
                 } else {
                     writable = false;
-                }
-            } else {
-                for digest in missing {
-                    let Some(partial) = handle.partial(plan.plan_fp(), digest) else {
-                        continue;
-                    };
-                    let bytes = encode_partial(&partial);
-                    if self.send_to(slot, &Frame::Push { digest, bytes }) {
-                        self.stats.partials_pushed += 1;
-                        if let Some(w) = self.workers.get_mut(slot) {
-                            w.has.insert(digest);
-                        }
-                    } else {
-                        writable = false;
-                        break;
-                    }
+                    break;
                 }
             }
             let build = Frame::Build {
@@ -799,6 +880,9 @@ impl Cluster {
                         if got == forest_fp {
                             if let Some(w) = self.workers.get_mut(slot) {
                                 w.forest_ready = true;
+                                // The build filled every gap from the
+                                // worker's own trees.
+                                w.has.extend(distinct.iter().copied());
                             }
                         } else {
                             // Divergent forest: results from this worker
@@ -954,7 +1038,7 @@ impl PassRunner for Cluster {
     fn run_wave(
         &mut self,
         _forest: &Forest,
-        _config: &DiscoveryConfig,
+        config: &DiscoveryConfig,
         tasks: &[WaveTask],
     ) -> Vec<Option<Vec<u8>>> {
         self.stats.pass_tasks += tasks.len() as u64;
@@ -964,6 +1048,9 @@ impl PassRunner for Cluster {
             return results;
         }
         self.touch_all();
+        // Every pass runs under this request's configuration, whatever
+        // request the workers were admitted for.
+        let config_bytes = encode_config(config);
         let mut queue: VecDeque<usize> = (0..tasks.len()).collect();
         let mut in_flight: HashMap<u64, (usize, usize)> = HashMap::new();
         let mut retries: HashMap<usize, usize> = HashMap::new();
@@ -985,6 +1072,7 @@ impl PassRunner for Cluster {
                 self.next_task_id += 1;
                 let frame = Frame::Pass {
                     task_id,
+                    config: config_bytes.clone(),
                     task: task.encode_bytes(),
                 };
                 if self.send_to(slot, &frame) {

@@ -42,22 +42,24 @@
 //!            ◄─ PlanAck{fp} ────────────────  re-derives fp
 //!   [encode] ── Encode{digest} ─────────────►
 //!            ◄─ Partial{digest, bytes} ─────
-//!   [forest] ── Push{digest, bytes}* ───────►  fills small gaps, or
-//!            ── ForestShip{partials} ───────►  …everything in one frame
+//!   [forest] ── Push{digest, bytes}* ───────►  fills its gaps
 //!            ── Build{forest_fp, digests} ──►  merges, fingerprints
 //!            ◄─ ForestAck{forest_fp} ───────
-//!   [passes] ── Pass{task_id, wave task} ───►
+//!   [passes] ── Pass{task_id, cfg, task} ───►  runs under the request's cfg
 //!            ◄─ TaskResult{task_id, bytes} ─
 //!            ── Ping ───────────────────────►  (any time; liveness)
 //!            ◄─ Pong ───────────────────────
+//!   [change] ── Plan{fp, auth, dir, cfg} ───►  refreshes its view in place,
+//!            ◄─ … PlanAck{fp} ──────────────  reading only new segments
 //!            ── Shutdown ───────────────────►  (pooled clusters skip
 //!                                               this between requests)
 //! ```
 //!
 //! [`pool::WorkerPool`] keeps whole clusters warm between requests,
 //! keyed by (corpus name, plan fingerprint): heartbeats double as health
-//! checks on checkout, idle entries are reaped on a deadline, and a dead
-//! or poisoned entry is respawned transparently.
+//! checks on checkout, a corpus change re-plans the live workers in place
+//! (the `[change]` step above, between requests), idle entries are reaped
+//! on a deadline, and a dead or poisoned entry is respawned transparently.
 
 pub mod coordinator;
 pub mod pool;
@@ -148,24 +150,6 @@ impl From<CorpusError> for ClusterError {
     }
 }
 
-/// How the coordinator brings a worker's partial set up to the merged
-/// forest (satellite of the forest-distribution phase; see
-/// [`Cluster`]'s `distribute_forest`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PushMode {
-    /// Per-worker choice: individual `Push` frames when the worker
-    /// already holds most partials, one batched `ForestShip` frame when
-    /// more than half are missing.
-    #[default]
-    Auto,
-    /// Always individual `Push` frames (the pre-ship behavior; kept for
-    /// the bench crossover measurement).
-    Partials,
-    /// Always one batched `ForestShip` frame per worker that is missing
-    /// anything.
-    Forest,
-}
-
 /// Knobs for one cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterOptions {
@@ -189,8 +173,6 @@ pub struct ClusterOptions {
     /// Command prefix to launch a worker; `--socket`/`--index` are
     /// appended. Empty means "this executable, `worker` subcommand".
     pub worker_command: Vec<String>,
-    /// How partial gaps are filled before the forest build.
-    pub push_mode: PushMode,
     /// Fault injection: `kill -9` (or, for a remote worker, hard-reset
     /// the connection of) the worker that received the Nth pass task,
     /// right after assigning it (so the task is in flight when the
@@ -210,7 +192,6 @@ impl Default for ClusterOptions {
             worker_timeout: Duration::from_secs(30),
             max_task_retries: 2,
             worker_command: Vec::new(),
-            push_mode: PushMode::Auto,
             kill_worker_after: None,
             corrupt_plan: false,
         }
@@ -246,7 +227,8 @@ pub struct ClusterStats {
     pub tasks_fallback: u64,
     /// Individual partial `Push` frames sent during forest distribution.
     pub partials_pushed: u64,
-    /// Batched `ForestShip` frames sent instead of per-partial pushes.
+    /// Always 0: partials travel as `Push` frames only. Kept (with the
+    /// `ships=` summary field) for readers of the stats.
     pub forest_ships: u64,
     /// Segments shipped to workers without shared storage.
     pub segments_shipped: u64,

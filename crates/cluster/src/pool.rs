@@ -1,7 +1,9 @@
 //! A persistent warm worker pool: whole [`Cluster`]s kept alive between
-//! requests, keyed by (corpus name, plan fingerprint) — the pair that
-//! fully determines what an admitted worker has derived. Replaces
-//! spawn-per-request in `serve` mode.
+//! requests, keyed by (corpus name, plan fingerprint) — what an admitted
+//! worker's partials and forest merge depend on. The documents they cover
+//! change with the corpus and are re-planned in place; the discovery
+//! configuration travels with every pass. Replaces spawn-per-request in
+//! `serve` mode.
 //!
 //! Lifecycle of a pool entry:
 //!
@@ -9,19 +11,22 @@
 //!            discover(miss)                 discover(hit)
 //!   (none) ───────────────► warm ◄──────────────────────┐
 //!                            │ │                        │
-//!                            │ └── health_check ok ─────┘
-//!            idle deadline   │
-//!            health check 0  │        (respawn happens
-//!            digest mismatch ▼         transparently on
-//!                          reaped       the same request)
+//!                            │ ├── health_check ok ─────┤
+//!                            │ │                        │
+//!                            │ └── digest mismatch: ────┘
+//!            idle deadline   │     re-plan, ≥1 worker acks
+//!            health check 0  │
+//!            re-plan 0       ▼    (respawn happens transparently
+//!                          reaped  on the same request)
 //! ```
 //!
 //! Checkout removes the entry from the map, so the map lock is never
-//! held across any socket or process I/O (health checks, runs, spawns
-//! and shutdowns all happen on a checked-out cluster). Heartbeats double
-//! as health checks: a checked-out entry must answer a `Ping` before it
-//! is trusted; silence means it is shut down and respawned — the caller
-//! never sees the difference, only the `warm` flag in the result.
+//! held across any socket or process I/O (health checks, re-plans, runs,
+//! spawns and shutdowns all happen on a checked-out cluster). Heartbeats
+//! double as health checks: a checked-out entry must answer a `Ping`
+//! before it is trusted; silence means it is shut down and respawned —
+//! the caller never sees the difference, only the `warm` flag in the
+//! result.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +56,8 @@ struct PoolEntry {
     cluster: Cluster,
     last_used: Instant,
     /// The per-document digests the entry's workers built their forest
-    /// from; a mismatch means the corpus changed and the entry is stale.
+    /// from; a mismatch means the corpus changed and the entry must be
+    /// re-planned before use.
     doc_digests: Vec<u128>,
 }
 
@@ -61,8 +67,9 @@ pub struct PoolDiscovery {
     pub outcome: RunOutcome,
     /// The run's cluster counters.
     pub stats: ClusterStats,
-    /// `true` when a warm pool entry served the request (no spawn, no
-    /// handshake, no segment shipping).
+    /// `true` when a pooled cluster served the request and no worker
+    /// process was spawned for it. A re-plan after a corpus change
+    /// counts as warm; its segment shipping, if any, shows in `stats`.
     pub warm: bool,
 }
 
@@ -74,7 +81,7 @@ pub struct PoolSnapshot {
     /// Clusters currently mid-spawn for a pool miss.
     pub spawning: u64,
     /// Entries retired so far (idle deadline, failed health check, or
-    /// stale document view), cumulative.
+    /// no worker left after a re-plan), cumulative.
     pub reaped_total: u64,
     /// Requests served by a warm entry, cumulative.
     pub warm_hits_total: u64,
@@ -126,10 +133,10 @@ impl WorkerPool {
     }
 
     /// Run one discovery against the pool: reuse the warm cluster for
-    /// this (corpus, plan fingerprint) when it is healthy and its
-    /// document view still matches, else spawn a fresh one — then park
-    /// the cluster again for the next request. Output bytes are
-    /// identical either way.
+    /// this (corpus, plan fingerprint) when it is healthy — re-planning
+    /// it in place when the corpus changed since its last request — else
+    /// spawn a fresh one; then park the cluster again for the next
+    /// request. Output bytes are identical either way.
     pub fn discover(
         &self,
         handle: &mut CorpusHandle,
@@ -144,24 +151,23 @@ impl WorkerPool {
             let mut g = lock_recover(&self.entries);
             g.remove(&key)
         };
-        let (mut cluster, warm) = match parked {
-            Some(mut entry) if entry.doc_digests == digests => {
-                if entry.cluster.health_check(HEALTH_TIMEOUT) > 0 {
-                    entry.cluster.begin_run();
-                    (entry.cluster, true)
-                } else {
-                    // Every worker is dead or silent: respawn
-                    // transparently on this same request.
-                    self.retire(entry);
-                    (self.spawn_cold(plan.plan_fp(), handle, config)?, false)
+        let warm_cluster = parked.and_then(|mut entry| {
+            if entry.cluster.health_check(HEALTH_TIMEOUT) > 0 {
+                entry.cluster.begin_run();
+                // A changed corpus re-plans the live workers in place.
+                if entry.doc_digests == digests
+                    || entry.cluster.replan(handle, plan.plan_fp(), config) > 0
+                {
+                    return Some(entry.cluster);
                 }
             }
-            Some(entry) => {
-                // Stale document view under an unchanged fingerprint
-                // key: never reuse, the workers' forests are wrong.
-                self.retire(entry);
-                (self.spawn_cold(plan.plan_fp(), handle, config)?, false)
-            }
+            // Every worker is dead, silent or failed the re-plan: respawn
+            // transparently on this same request.
+            self.retire(entry);
+            None
+        });
+        let (mut cluster, warm) = match warm_cluster {
+            Some(cluster) => (cluster, true),
             None => (self.spawn_cold(plan.plan_fp(), handle, config)?, false),
         };
         if warm {

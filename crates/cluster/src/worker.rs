@@ -3,13 +3,17 @@
 //! workers), re-derive the plan from a read-only view of the corpus —
 //! or, without shared storage, from digest-verified shipped segments —
 //! then serve encode / merge / pass requests until `Shutdown` or EOF.
+//! A pooled coordinator re-sends `Plan` after the corpus changed; the
+//! worker then refreshes the same view in place, reading only segments
+//! it does not hold, and keeps its partials and forest merge.
 //!
 //! Three threads per session, no shared locks:
 //!
 //! * the **main** thread reads frames and dispatches — heartbeats are
-//!   answered here so liveness holds even while a merge is running;
-//! * a **compute** thread owns the corpus handle and works the queue in
-//!   FIFO order;
+//!   answered here so liveness holds even while a merge is running — and
+//!   admits each plan;
+//! * a **compute** thread owns the corpus view while a plan is admitted
+//!   and works the queue in FIFO order;
 //! * a **writer** thread owns the write half of the connection,
 //!   serializing whole frames from one channel (answers and `Pong`s
 //!   interleave at frame boundaries, never inside one).
@@ -29,14 +33,13 @@ use xfd_relation::treetuple::decode_tree;
 use xfd_relation::{build_partial, encode_partial, forest_fingerprint};
 use xfd_schema::SchemaMap;
 use xfd_transport::{join_auth, plan_auth, Endpoint, Stream};
-use xfd_xml::DataTree;
 
 use crate::frame::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
 use crate::ClusterError;
 
-/// Bound on coordinator silence during the handshake and segment
-/// shipping; cleared once admitted (a pooled worker then waits
-/// indefinitely between requests).
+/// Bound on coordinator silence while a plan is accepted (the first
+/// handshake or a re-plan, segment shipping included); cleared once
+/// admitted (a pooled worker then waits indefinitely between requests).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Default byte budget for the shipped-segment cache (256 MiB).
@@ -152,9 +155,24 @@ pub fn parse_worker_args(args: &[String]) -> Result<WorkerOptions, String> {
 enum Work {
     Encode(u128),
     Push(u128, Vec<u8>),
-    Ship(Vec<(u128, Vec<u8>)>),
     Build(Vec<u128>),
-    Pass(u64, Vec<u8>),
+    Pass(u64, Vec<u8>, Vec<u8>),
+}
+
+/// What an admitted worker holds for the coordinator between plans: its
+/// read-only document view and everything derived from it. A re-sent
+/// `Plan` refreshes it in place instead of starting over.
+struct Admitted {
+    /// The `Plan` frame's corpus directory the view belongs to.
+    corpus_dir: String,
+    /// Whether `handle` reads the corpus directory itself (shared
+    /// storage) or was assembled from shipped segments.
+    shared: bool,
+    handle: CorpusHandle,
+    config: DiscoveryConfig,
+    plan: CorpusPlan,
+    /// Pass tasks received this session (for `--exit-after-tasks`).
+    passes_done: u64,
 }
 
 /// Run the worker. With `--socket`, dials the coordinator and serves one
@@ -203,18 +221,15 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), ClusterError> {
 }
 
 /// Serve one coordinator session over an established connection. Errors
-/// cover only the phase before any work is accepted (handshake, corpus
-/// open or segment shipping).
+/// cover only the phases in which no work is accepted (handshake or
+/// re-plan: corpus open or refresh, segment shipping).
 fn run_session(mut reader: Box<dyn Stream>, opts: &WorkerOptions) -> Result<(), ClusterError> {
     let write_half = reader.try_clone_stream()?;
     let (out_tx, out_rx) = channel::<Frame>();
     let writer = std::thread::spawn(move || writer_loop(write_half, out_rx));
 
-    // Handshake: announce ourselves (with our token's digest), receive
-    // the job, re-derive the plan fingerprint from our own view and
-    // report it back. A silent coordinator cannot wedge us: reads are
-    // bounded until we are admitted.
-    reader.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok();
+    // Handshake: announce ourselves (with our token's digest), then
+    // serve plans until the coordinator leaves.
     out_tx
         .send(Frame::Join {
             version: PROTOCOL_VERSION,
@@ -222,7 +237,89 @@ fn run_session(mut reader: Box<dyn Stream>, opts: &WorkerOptions) -> Result<(), 
             auth: join_auth(&opts.token),
         })
         .ok();
-    let (plan_fp, auth, corpus_dir, config_bytes) = match read_frame(&mut reader)? {
+    let result = serve_plans(&mut reader, &out_tx, opts);
+    drop(out_tx);
+    writer.join().ok();
+    result
+}
+
+/// Admit each `Plan` the coordinator sends — the first one, and each one
+/// re-sent after a corpus change — then serve work under it until the
+/// next `Plan`, `Shutdown` or EOF. A silent coordinator cannot wedge us:
+/// reads are bounded while a plan is being admitted.
+fn serve_plans(
+    reader: &mut Box<dyn Stream>,
+    out_tx: &Sender<Frame>,
+    opts: &WorkerOptions,
+) -> Result<(), ClusterError> {
+    reader.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok();
+    let mut next = read_frame(reader)?;
+    let mut held: Option<Admitted> = None;
+    loop {
+        let Some(admitted) = accept_plan(reader, out_tx, opts, next, held.take())? else {
+            return Ok(());
+        };
+        reader.set_read_timeout(None).ok();
+
+        // Admitted: hand the view to the compute thread and keep reading.
+        let (work_tx, work_rx) = channel::<Work>();
+        let compute_out = out_tx.clone();
+        let exit_after = opts.exit_after_tasks;
+        let compute =
+            std::thread::spawn(move || compute_loop(admitted, work_rx, compute_out, exit_after));
+        next = loop {
+            match read_frame(reader) {
+                Ok(Some(Frame::Ping)) => {
+                    out_tx.send(Frame::Pong).ok();
+                }
+                Ok(Some(Frame::Encode { digest })) => {
+                    work_tx.send(Work::Encode(digest)).ok();
+                }
+                Ok(Some(Frame::Push { digest, bytes })) => {
+                    work_tx.send(Work::Push(digest, bytes)).ok();
+                }
+                Ok(Some(Frame::Build { digests, .. })) => {
+                    work_tx.send(Work::Build(digests)).ok();
+                }
+                Ok(Some(Frame::Pass {
+                    task_id,
+                    config,
+                    task,
+                })) => {
+                    work_tx.send(Work::Pass(task_id, config, task)).ok();
+                }
+                Ok(Some(frame @ Frame::Plan { .. })) => break Some(frame),
+                Ok(Some(Frame::Shutdown)) | Ok(None) | Err(_) => break None,
+                Ok(Some(_)) => {
+                    out_tx
+                        .send(Frame::WorkerError {
+                            message: "unexpected frame from coordinator".into(),
+                        })
+                        .ok();
+                }
+            }
+        };
+        // The compute thread drains what was queued before the new plan
+        // (or the goodbye), then hands its view back.
+        drop(work_tx);
+        held = compute.join().ok();
+        reader.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok();
+    }
+}
+
+/// Plan acceptance, the same for the first handshake and for a re-plan:
+/// check the coordinator's token digest, open the corpus view — or
+/// refresh the `held` one in place, reading only segments it lacks — then
+/// re-derive the plan fingerprint and ack it. `None` means the session
+/// ends cleanly: the coordinator left or was refused, or refused us.
+fn accept_plan(
+    reader: &mut Box<dyn Stream>,
+    out_tx: &Sender<Frame>,
+    opts: &WorkerOptions,
+    frame: Option<Frame>,
+    held: Option<Admitted>,
+) -> Result<Option<Admitted>, ClusterError> {
+    let (plan_fp, auth, corpus_dir, config) = match frame {
         Some(Frame::Plan {
             plan_fp,
             auth,
@@ -231,11 +328,7 @@ fn run_session(mut reader: Box<dyn Stream>, opts: &WorkerOptions) -> Result<(), 
         }) => (plan_fp, auth, corpus_dir, config),
         // A Shutdown here is the coordinator rejecting our Join (wrong
         // token or version); EOF is it going away. Either ends cleanly.
-        Some(Frame::Shutdown) | None => {
-            drop(out_tx);
-            writer.join().ok();
-            return Ok(());
-        }
+        Some(Frame::Shutdown) | None => return Ok(None),
         Some(_) => return Err(ClusterError::Protocol("expected a Plan frame".into())),
     };
     if auth != plan_auth(&opts.token) {
@@ -245,11 +338,9 @@ fn run_session(mut reader: Box<dyn Stream>, opts: &WorkerOptions) -> Result<(), 
                 message: "plan auth digest mismatch: tokens differ".into(),
             })
             .ok();
-        drop(out_tx);
-        writer.join().ok();
-        return Ok(());
+        return Ok(None);
     }
-    let config = decode_config(&config_bytes)
+    let config = decode_config(&config)
         .map_err(|e| ClusterError::Protocol(format!("undecodable config: {e}")))?;
     let dir = PathBuf::from(&corpus_dir);
     let name = dir
@@ -257,30 +348,42 @@ fn run_session(mut reader: Box<dyn Stream>, opts: &WorkerOptions) -> Result<(), 
         .and_then(|n| n.to_str())
         .ok_or_else(|| ClusterError::Config(format!("bad corpus dir '{corpus_dir}'")))?
         .to_string();
+    let cache_dir = opts
+        .seg_cache
+        .clone()
+        .unwrap_or_else(|| std::env::temp_dir().join("xfd-worker-segcache"));
+    let held = held.filter(|h| h.corpus_dir == corpus_dir);
+    let passes_done = held.as_ref().map_or(0, |h| h.passes_done);
 
     // Shared storage first; otherwise (or when forced) announce our
     // segment cache and let the coordinator ship what it lacks.
-    let shared = if opts.no_shared_storage {
-        None
-    } else {
-        dir.parent()
-            .map(|root| CorpusStore::new(root).open_readonly(&name))
-            .and_then(Result::ok)
-    };
-    let mut handle = match shared {
-        Some(h) => h,
+    let (mut handle, shared) = match held {
+        Some(mut h) if h.shared => {
+            h.handle.refresh_readonly()?;
+            (h.handle, true)
+        }
+        Some(h) => {
+            let handle = open_shipped(reader, out_tx, h.handle, &cache_dir, opts)?;
+            (handle, false)
+        }
         None => {
-            let cache_dir = opts
-                .seg_cache
-                .clone()
-                .unwrap_or_else(|| std::env::temp_dir().join("xfd-worker-segcache"));
-            open_shipped(
-                &mut reader,
-                &out_tx,
-                &name,
-                &cache_dir,
-                opts.seg_cache_budget,
-            )?
+            let shared = if opts.no_shared_storage {
+                None
+            } else {
+                dir.parent()
+                    .map(|root| CorpusStore::new(root).open_readonly(&name))
+                    .and_then(Result::ok)
+            };
+            match shared {
+                Some(h) => (h, true),
+                None => {
+                    let empty = CorpusHandle::shipped(&name, &cache_dir);
+                    (
+                        open_shipped(reader, out_tx, empty, &cache_dir, opts)?,
+                        false,
+                    )
+                }
+            }
         }
     };
     let plan = handle.plan(&config);
@@ -292,56 +395,17 @@ fn run_session(mut reader: Box<dyn Stream>, opts: &WorkerOptions) -> Result<(), 
     if my_fp != plan_fp {
         // Rejected: wait for the coordinator's Shutdown (or EOF) so the
         // frame above is not lost to a racing close.
-        wait_for_shutdown(&mut reader);
-        drop(out_tx);
-        writer.join().ok();
-        return Ok(());
+        wait_for_shutdown(reader);
+        return Ok(None);
     }
-    reader.set_read_timeout(None).ok();
-
-    // Admitted: hand the corpus to the compute thread and keep reading.
-    let (work_tx, work_rx) = channel::<Work>();
-    let compute_out = out_tx.clone();
-    let exit_after = opts.exit_after_tasks;
-    let compute = std::thread::spawn(move || {
-        compute_loop(handle, config, plan, work_rx, compute_out, exit_after)
-    });
-    loop {
-        match read_frame(&mut reader) {
-            Ok(Some(Frame::Ping)) => {
-                out_tx.send(Frame::Pong).ok();
-            }
-            Ok(Some(Frame::Encode { digest })) => {
-                work_tx.send(Work::Encode(digest)).ok();
-            }
-            Ok(Some(Frame::Push { digest, bytes })) => {
-                work_tx.send(Work::Push(digest, bytes)).ok();
-            }
-            Ok(Some(Frame::ForestShip { partials })) => {
-                work_tx.send(Work::Ship(partials)).ok();
-            }
-            Ok(Some(Frame::Build { digests, .. })) => {
-                work_tx.send(Work::Build(digests)).ok();
-            }
-            Ok(Some(Frame::Pass { task_id, task })) => {
-                work_tx.send(Work::Pass(task_id, task)).ok();
-            }
-            Ok(Some(Frame::Shutdown)) | Ok(None) => break,
-            Ok(Some(_)) => {
-                out_tx
-                    .send(Frame::WorkerError {
-                        message: "unexpected frame from coordinator".into(),
-                    })
-                    .ok();
-            }
-            Err(_) => break,
-        }
-    }
-    drop(work_tx);
-    compute.join().ok();
-    drop(out_tx);
-    writer.join().ok();
-    Ok(())
+    Ok(Some(Admitted {
+        corpus_dir,
+        shared,
+        handle,
+        config,
+        plan,
+        passes_done,
+    }))
 }
 
 /// Path of one cached segment.
@@ -375,9 +439,11 @@ fn scan_cache(cache_dir: &Path) -> Vec<u128> {
 }
 
 /// Persist one verified shipped segment (write-then-rename, so a crash
-/// mid-write never leaves a plausible-looking partial file).
+/// mid-write never leaves a plausible-looking partial file). The temporary
+/// name is per process: workers on one host share the default cache
+/// directory and may be shipped the same segment at the same time.
 fn store_cached(cache_dir: &Path, digest: u128, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = cache_dir.join(format!("{digest:032x}.tmp"));
+    let tmp = cache_dir.join(format!("{digest:032x}.{}.tmp", std::process::id()));
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, seg_cache_path(cache_dir, digest))
 }
@@ -421,24 +487,26 @@ fn evict_cache(cache_dir: &Path, budget: u64, keep: &HashSet<u128>) {
 }
 
 /// Content-addressed segment shipping, worker side: announce what the
-/// cache holds, receive the manifest plus the missing segments (each
-/// verified against its digest before being trusted or cached), then
-/// assemble a read-only corpus handle identical in document view to the
-/// coordinator's.
+/// cache and `handle` hold, receive the manifest plus the missing
+/// segments (each verified against its digest before being trusted or
+/// cached), then point `handle` at a document view identical to the
+/// coordinator's, decoding only the segments it did not hold.
 fn open_shipped(
     reader: &mut Box<dyn Stream>,
     out: &Sender<Frame>,
-    name: &str,
+    mut handle: CorpusHandle,
     cache_dir: &Path,
-    budget: u64,
+    opts: &WorkerOptions,
 ) -> Result<CorpusHandle, ClusterError> {
     std::fs::create_dir_all(cache_dir)?;
-    let cached_list = scan_cache(cache_dir);
+    let mut have = scan_cache(cache_dir);
+    have.extend(handle.doc_digests());
+    have.sort_unstable();
+    have.dedup();
     out.send(Frame::SegHave {
-        digests: cached_list.clone(),
+        digests: have.clone(),
     })
     .ok();
-    let cached: HashSet<u128> = cached_list.into_iter().collect();
     let manifest = match read_frame(reader)? {
         Some(Frame::SegManifest { digests }) => digests,
         Some(_) => {
@@ -452,17 +520,11 @@ fn open_shipped(
             ))
         }
     };
-    let mut distinct = Vec::new();
-    let mut seen = HashSet::new();
-    for &d in &manifest {
-        if seen.insert(d) {
-            distinct.push(d);
-        }
-    }
-    let mut missing: HashSet<u128> = distinct
+    let live: HashSet<u128> = manifest.iter().copied().collect();
+    let mut missing: HashSet<u128> = live
         .iter()
         .copied()
-        .filter(|d| !cached.contains(d))
+        .filter(|d| have.binary_search(d).is_err())
         .collect();
     let mut received: HashMap<u128, Vec<u8>> = HashMap::new();
     while !missing.is_empty() {
@@ -493,8 +555,7 @@ fn open_shipped(
     // Assemble the document view in manifest order. Cache hits are read
     // back and re-verified — a corrupted cache file is evicted and the
     // session fails, so the retry fetches it fresh.
-    let mut trees: HashMap<u128, DataTree> = HashMap::new();
-    for &digest in &distinct {
+    handle.refresh_shipped(&manifest, |digest| {
         let bytes = match received.remove(&digest) {
             Some(b) => b,
             None => {
@@ -509,24 +570,14 @@ fn open_shipped(
                 b
             }
         };
-        let tree = decode_tree(&bytes).map_err(|e| {
+        decode_tree(&bytes).map_err(|e| {
             ClusterError::Protocol(format!(
                 "shipped segment {digest:032x} failed to decode: {e}"
             ))
-        })?;
-        trees.insert(digest, tree);
-    }
-    let mut docs = Vec::with_capacity(manifest.len());
-    for &d in &manifest {
-        let Some(tree) = trees.get(&d) else {
-            return Err(ClusterError::Protocol(
-                "manifest digest unresolved after shipping".into(),
-            ));
-        };
-        docs.push((d, tree.clone()));
-    }
-    evict_cache(cache_dir, budget, &seen);
-    Ok(CorpusHandle::from_shipped(name, cache_dir, docs))
+        })
+    })?;
+    evict_cache(cache_dir, opts.seg_cache_budget, &live);
+    Ok(handle)
 }
 
 /// Drain frames until `Shutdown` or EOF (post-rejection limbo).
@@ -550,21 +601,28 @@ fn writer_loop(mut stream: Box<dyn Stream>, rx: Receiver<Frame>) {
     }
 }
 
-/// Sole owner of the corpus handle: work the queue in FIFO order. Every
+/// Sole owner of the corpus view while a plan is admitted: work the
+/// queue in FIFO order, then hand the view back for the next plan. Every
 /// request gets an answer frame (possibly an empty one meaning "could
 /// not"), so the coordinator never waits on silence from a live worker.
 fn compute_loop(
-    mut handle: CorpusHandle,
-    config: DiscoveryConfig,
-    plan: CorpusPlan,
+    mut admitted: Admitted,
     work: Receiver<Work>,
     out: Sender<Frame>,
     exit_after: Option<u64>,
-) {
+) -> Admitted {
+    let Admitted {
+        handle,
+        config,
+        plan,
+        passes_done,
+        ..
+    } = &mut admitted;
     let map = SchemaMap::new(plan.schema().as_ref());
     let plan_fp = plan.plan_fp();
     let mut prepared: Option<PreparedCorpus> = None;
-    let mut passes_done = 0u64;
+    // The last pass configuration, decoded once per distinct encoding.
+    let mut pass_config: Option<(Vec<u8>, DiscoveryConfig)> = None;
     while let Ok(item) = work.recv() {
         match item {
             Work::Encode(digest) => {
@@ -593,16 +651,6 @@ fn compute_loop(
                     handle.store_partial(plan_fp, digest, partial);
                 }
             }
-            Work::Ship(partials) => {
-                // The batched form of Push: the coordinator's whole
-                // partial set in one frame.
-                for (digest, bytes) in partials {
-                    if let Ok(partial) = xfd_relation::decode_partial(&bytes, &map, &config.encode)
-                    {
-                        handle.store_partial(plan_fp, digest, partial);
-                    }
-                }
-            }
             Work::Build(digests) => {
                 if digests != handle.doc_digests() {
                     // Different document view — our forest could never
@@ -611,28 +659,34 @@ fn compute_loop(
                     out.send(Frame::ForestAck { forest_fp: 0 }).ok();
                     continue;
                 }
-                let p = handle.merged_forest(&config, &plan);
+                let p = handle.merged_forest(config, plan);
                 let my_fp = forest_fingerprint(p.forest());
                 prepared = Some(p);
                 out.send(Frame::ForestAck { forest_fp: my_fp }).ok();
             }
-            Work::Pass(task_id, bytes) => {
-                if exit_after.is_some_and(|limit| passes_done >= limit) {
+            Work::Pass(task_id, config_bytes, bytes) => {
+                if exit_after.is_some_and(|limit| *passes_done >= limit) {
                     // Fault injection: die hard with the task unanswered,
                     // exactly like a crash mid-pass.
                     std::process::exit(9);
                 }
-                passes_done += 1;
-                let output = match (WaveTask::decode_bytes(&bytes), prepared.as_ref()) {
-                    (Ok(task), Some(p)) if task_in_bounds(p.forest(), &task) => {
-                        run_task(p.forest(), &config, &task)
+                *passes_done += 1;
+                if pass_config.as_ref().is_none_or(|(b, _)| *b != config_bytes) {
+                    pass_config = decode_config(&config_bytes).ok().map(|c| (config_bytes, c));
+                }
+                let task = WaveTask::decode_bytes(&bytes);
+                let output = match (task, prepared.as_ref(), pass_config.as_ref()) {
+                    (Ok(task), Some(p), Some((_, pass))) if task_in_bounds(p.forest(), &task) => {
+                        run_task(p.forest(), pass, &task)
                     }
-                    // No forest yet or an undecodable/out-of-range task:
-                    // an empty answer routes it back to local compute.
+                    // No forest yet, or an undecodable configuration or
+                    // task, or one out of range: an empty answer routes
+                    // it back to local compute.
                     _ => Vec::new(),
                 };
                 out.send(Frame::TaskResult { task_id, output }).ok();
             }
         }
     }
+    admitted
 }

@@ -81,7 +81,15 @@ pub struct MemoStats {
     pub resident_bytes: usize,
 }
 
+/// How many configurations [`RelationMemo::prune_stale`] keeps passes
+/// for: the most recently run ones. Alternating configurations keep
+/// replaying each other's passes, while a client that changes a knob on
+/// every request still cannot grow the memo without bound.
+const MAX_CONFIGS: usize = 4;
+
 struct MemoEntry {
+    /// Fingerprint of the configuration the pass ran under.
+    config: u128,
     generation: u64,
     last_used: u64,
     bytes: usize,
@@ -99,6 +107,9 @@ struct MemoEntry {
 #[derive(Default)]
 pub struct RelationMemo {
     entries: FxHashMap<u128, MemoEntry>,
+    /// Each recently run configuration with the generation of its latest
+    /// run, most recent first; at most [`MAX_CONFIGS`].
+    configs: Vec<(u128, u64)>,
     generation: u64,
     tick: u64,
     hits: u64,
@@ -174,19 +185,21 @@ impl RelationMemo {
         }
     }
 
-    /// Drop entries not touched by the most recent discover run, bounding
-    /// memory across document adds/removes (stale fingerprints can never
-    /// hit again unless the exact same corpus state recurs).
+    /// Drop every entry that the latest run of its own configuration left
+    /// untouched, and every entry of a configuration that is no longer
+    /// among the [`MAX_CONFIGS`] most recently run. This bounds memory
+    /// across document adds/removes (a stale fingerprint can only hit
+    /// again if the exact same corpus state recurs), while a run under one
+    /// configuration never evicts another configuration's passes.
     pub fn prune_stale(&mut self) {
-        let current = self.generation;
+        let configs = &self.configs;
         let mut freed = 0usize;
         self.entries.retain(|_, e| {
-            if e.generation == current {
-                true
-            } else {
+            let live = is_live(configs, e);
+            if !live {
                 freed += e.bytes;
-                false
             }
+            live
         });
         self.resident_bytes = self.resident_bytes.saturating_sub(freed);
     }
@@ -195,6 +208,15 @@ impl RelationMemo {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.resident_bytes = 0;
+    }
+
+    /// Open a run under the configuration fingerprinted as `config`: a new
+    /// generation, and `config` becomes the most recently run one.
+    fn begin_run(&mut self, config: u128) {
+        self.generation += 1;
+        self.configs.retain(|&(c, _)| c != config);
+        self.configs.insert(0, (config, self.generation));
+        self.configs.truncate(MAX_CONFIGS);
     }
 
     /// Account one relation pass of the current run: a hit refreshes its
@@ -211,9 +233,11 @@ impl RelationMemo {
             self.misses += 1;
             let bytes = approx_output_bytes(output);
             self.resident_bytes += bytes;
+            let config = self.configs.first().map_or(0, |&(c, _)| c);
             self.entries.insert(
                 key,
                 MemoEntry {
+                    config,
                     generation: self.generation,
                     last_used: self.tick,
                     bytes,
@@ -224,9 +248,9 @@ impl RelationMemo {
     }
 
     /// Evict least-recently-used entries until the budget is met. Entries
-    /// of generations before the current run go first (they can only hit
-    /// again if the exact corpus state recurs); current-generation entries
-    /// follow, oldest use first.
+    /// that the latest run of their configuration left untouched go first
+    /// (they can only hit again if the exact corpus state recurs); live
+    /// entries follow, oldest use first.
     fn enforce_budget(&mut self) {
         let Some(budget) = self.budget else {
             return;
@@ -234,11 +258,10 @@ impl RelationMemo {
         if self.resident_bytes <= budget {
             return;
         }
-        let current = self.generation;
         let mut order: Vec<(bool, u64, u128)> = self
             .entries
             .iter()
-            .map(|(key, e)| (e.generation == current, e.last_used, *key))
+            .map(|(key, e)| (is_live(&self.configs, e), e.last_used, *key))
             .collect();
         order.sort_unstable();
         for (_, _, key) in order {
@@ -251,6 +274,14 @@ impl RelationMemo {
             }
         }
     }
+}
+
+/// Whether the latest run of `e`'s configuration touched it, that
+/// configuration being one of the recently run `configs`.
+fn is_live(configs: &[(u128, u64)], e: &MemoEntry) -> bool {
+    configs
+        .iter()
+        .any(|&(c, g)| c == e.config && g == e.generation)
 }
 
 /// Rough heap footprint of one cached pass, for budget accounting. Counts
@@ -562,12 +593,12 @@ pub(crate) fn schedule_waves(
     let base = (memo.is_some() || runner.is_some()).then(|| {
         let mut d = WordDigest::new();
         config_fingerprint(config, &mut d);
+        if let Some(memo) = memo.as_deref_mut() {
+            memo.begin_run(d.finish());
+        }
         skeleton_fingerprint(forest, &mut d);
         d
     });
-    if let Some(memo) = memo.as_deref_mut() {
-        memo.generation += 1;
-    }
 
     let mut out = ForestDiscovery {
         relations: Vec::with_capacity(forest.relations.len()),
@@ -1051,5 +1082,59 @@ mod tests {
         assert_eq!(memo.len(), n, "exactly the latest run's entries survive");
         // And the pruned memo still replays the latest forest fully.
         discover_forest_memo(&dirty, &config, &mut memo, |p| assert!(p.cached));
+    }
+
+    /// One discover run as a corpus handle makes it: the memoized
+    /// traversal, then `prune_stale`. Returns how many passes replayed.
+    fn run_and_prune(forest: &Forest, config: &DiscoveryConfig, memo: &mut RelationMemo) -> usize {
+        let mut cached = 0;
+        discover_forest_memo(forest, config, memo, |p| cached += usize::from(p.cached));
+        memo.prune_stale();
+        cached
+    }
+
+    fn lhs(n: usize) -> DiscoveryConfig {
+        DiscoveryConfig {
+            max_lhs_size: Some(n),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn alternating_configurations_keep_each_others_passes() {
+        let forest = forest_of(DOC);
+        let (a, b) = (DiscoveryConfig::default(), lhs(1));
+        let mut memo = RelationMemo::new();
+        assert_eq!(run_and_prune(&forest, &a, &mut memo), 0);
+        assert_eq!(run_and_prune(&forest, &b, &mut memo), 0);
+        // The run under B left A's passes alone: A replays every one.
+        assert_eq!(
+            run_and_prune(&forest, &a, &mut memo),
+            forest.relations.len()
+        );
+        assert_eq!(
+            run_and_prune(&forest, &b, &mut memo),
+            forest.relations.len()
+        );
+    }
+
+    #[test]
+    fn only_the_most_recently_run_configurations_are_kept() {
+        let forest = forest_of(DOC);
+        let configs = [lhs(1), lhs(2), lhs(3), lhs(4), DiscoveryConfig::default()];
+        let mut memo = RelationMemo::new();
+        for config in &configs {
+            run_and_prune(&forest, config, &mut memo);
+        }
+        // Each run files one pass per relation. A fifth configuration
+        // pushed the first one out: its entries are gone, the other four
+        // configurations' are all resident.
+        assert_eq!(configs.len(), MAX_CONFIGS + 1);
+        assert_eq!(memo.len(), MAX_CONFIGS * forest.relations.len());
+        assert_eq!(run_and_prune(&forest, &configs[0], &mut memo), 0);
+        assert_eq!(
+            run_and_prune(&forest, &configs[4], &mut memo),
+            forest.relations.len()
+        );
     }
 }

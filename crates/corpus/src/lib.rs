@@ -350,6 +350,75 @@ pub struct CompactStats {
     pub bytes: u64,
 }
 
+/// One document's segment bytes, verified against the manifest digest,
+/// then decoded.
+fn read_verified(store: &StoreDir, meta: &DocMeta) -> Result<DataTree, CorpusError> {
+    let bytes = store.read_doc(meta)?;
+    if xfd_hash::digest_bytes(&bytes) != meta.digest {
+        return Err(CorpusError::Corrupt(format!(
+            "segment {} of document '{}' does not match its manifest digest",
+            meta.seg, meta.name
+        )));
+    }
+    decode_tree(&bytes).map_err(CorpusError::Decode)
+}
+
+/// Replace `docs` with `metas`, in order. A tree `docs` already holds is
+/// reused by digest; `fetch` supplies the document of every other meta
+/// (so each one read from storage is verified), and is called for all of
+/// them before `docs` changes, so a failed fetch leaves `docs` as it was.
+/// Returns how many documents were fetched.
+fn replace_docs<E>(
+    docs: &mut Vec<Doc>,
+    metas: Vec<DocMeta>,
+    mut fetch: impl FnMut(&DocMeta) -> Result<DataTree, E>,
+) -> Result<usize, E> {
+    let held: HashSet<u128> = docs.iter().map(|d| d.meta.digest).collect();
+    let mut fetched = Vec::with_capacity(metas.len());
+    for meta in &metas {
+        let tree = if held.contains(&meta.digest) {
+            None
+        } else {
+            Some(fetch(meta)?)
+        };
+        fetched.push(tree);
+    }
+    let count = fetched.iter().flatten().count();
+    // Each held tree moves to its digest's last use and is cloned for the
+    // others.
+    let mut uses: HashMap<u128, usize> = HashMap::new();
+    for (meta, tree) in metas.iter().zip(&fetched) {
+        if tree.is_none() {
+            *uses.entry(meta.digest).or_default() += 1;
+        }
+    }
+    let mut trees: HashMap<u128, DataTree> =
+        docs.drain(..).map(|d| (d.meta.digest, d.tree)).collect();
+    for (meta, tree) in metas.into_iter().zip(fetched) {
+        let tree = tree.or_else(|| {
+            let last = uses.get_mut(&meta.digest).is_some_and(|n| {
+                *n -= 1;
+                *n == 0
+            });
+            if last {
+                trees.remove(&meta.digest)
+            } else {
+                trees.get(&meta.digest).cloned()
+            }
+        });
+        // Every meta was either fetched or held.
+        if let Some(tree) = tree {
+            docs.push(Doc { meta, tree });
+        }
+    }
+    Ok(count)
+}
+
+/// The next free segment id after `docs`.
+fn next_seg(docs: &[Doc]) -> u64 {
+    docs.iter().map(|d| d.meta.seg + 1).max().unwrap_or(0)
+}
+
 /// Staged compaction output: the new segment id, the concatenated
 /// tuple-block blob, and the rewritten per-document metas.
 type CompactLayout = (u64, Vec<u8>, Vec<DocMeta>);
@@ -389,25 +458,17 @@ impl CorpusHandle {
         } else {
             StoreDir::open(dir)?
         };
-        let mut docs = Vec::with_capacity(metas.len());
-        let mut next_seg = 0u64;
-        for meta in metas {
-            let bytes = store.read_doc(&meta)?;
-            if xfd_hash::digest_bytes(&bytes) != meta.digest {
-                return Err(CorpusError::Corrupt(format!(
-                    "segment {} of document '{}' does not match its manifest digest",
-                    meta.seg, meta.name
-                )));
-            }
-            let tree = decode_tree(&bytes).map_err(CorpusError::Decode)?;
-            next_seg = next_seg.max(meta.seg + 1);
-            docs.push(Doc { meta, tree });
-        }
-        Ok(CorpusHandle {
+        let mut docs = Vec::new();
+        replace_docs(&mut docs, metas, |meta| read_verified(&store, meta))?;
+        Ok(CorpusHandle::with_docs(name, store, docs, readonly))
+    }
+
+    fn with_docs(name: &str, store: StoreDir, docs: Vec<Doc>, readonly: bool) -> CorpusHandle {
+        CorpusHandle {
             name: name.to_string(),
             store,
+            next_seg: next_seg(&docs),
             docs,
-            next_seg,
             memo: RelationMemo::new(),
             generation: 0,
             seg_cache: HashMap::new(),
@@ -417,7 +478,40 @@ impl CorpusHandle {
             kernel_products_materialized: 0,
             kernel_early_exits: 0,
             kernel_summary_hits: 0,
-        })
+        }
+    }
+
+    /// Point the handle at `metas`, keeping every tree it already holds
+    /// and all state derived from them (segment summaries, partials, the
+    /// resumable forest merge), by digest; `fetch` supplies the rest. A
+    /// changed digest sequence moves the generation on, so the next merge
+    /// resumes from the longest unchanged prefix. Returns how many
+    /// segments were fetched.
+    fn set_docs<E>(
+        &mut self,
+        metas: Vec<DocMeta>,
+        fetch: impl FnMut(&DocMeta) -> Result<DataTree, E>,
+    ) -> Result<usize, E> {
+        let before = self.doc_digests();
+        let fetched = replace_docs(&mut self.docs, metas, fetch)?;
+        if !self.docs.iter().map(|d| d.meta.digest).eq(before) {
+            self.generation += 1;
+        }
+        self.next_seg = next_seg(&self.docs);
+        Ok(fetched)
+    }
+
+    /// Re-read the manifest of a read-only handle after the owning process
+    /// changed the corpus: what a pooled cluster worker does when the
+    /// coordinator re-sends its plan. Only segments this handle does not
+    /// hold are read, verified against their digest and decoded; decoded
+    /// trees and everything derived from them are kept by digest. Returns
+    /// how many segments were read.
+    pub fn refresh_readonly(&mut self) -> Result<usize, CorpusError> {
+        let (store, metas) = StoreDir::open_readonly(self.store.dir())?;
+        let read = self.set_docs(metas, |meta| read_verified(&store, meta))?;
+        self.store = store;
+        Ok(read)
     }
 
     fn guard_writable(&self) -> Result<(), CorpusError> {
@@ -760,43 +854,40 @@ impl CorpusHandle {
         (xfd_hash::digest_bytes(&bytes) == digest).then_some(bytes)
     }
 
-    /// Assemble a read-only handle from shipped, digest-verified segments
-    /// — a remote worker's substitute for [`CorpusStore::open_readonly`]
-    /// when the corpus directory lives on another host. `docs` carries
-    /// `(digest, decoded tree)` per document in the coordinator's
-    /// manifest order, duplicates included. Document names are
+    /// An empty read-only handle for a corpus whose directory lives on
+    /// another host — a remote worker's substitute for
+    /// [`CorpusStore::open_readonly`]. Its documents arrive as shipped,
+    /// digest-verified segments through
+    /// [`refresh_shipped`](CorpusHandle::refresh_shipped); `dir` is the
+    /// worker's segment cache.
+    pub fn shipped(name: &str, dir: &Path) -> CorpusHandle {
+        CorpusHandle::with_docs(name, StoreDir::attach(dir), Vec::new(), true)
+    }
+
+    /// Point a [`shipped`](CorpusHandle::shipped) handle at the
+    /// coordinator's per-document digest `manifest` (ingest order,
+    /// duplicates included). Trees the handle already holds are kept by
+    /// digest, with everything derived from them; `fetch` supplies each
+    /// other document's verified, decoded tree. Document names are
     /// synthesized from the digests; they never influence discovery,
-    /// which sees only the trees and the fixed collection name.
-    pub fn from_shipped(name: &str, dir: &Path, docs: Vec<(u128, DataTree)>) -> CorpusHandle {
-        let docs: Vec<Doc> = docs
-            .into_iter()
+    /// which sees only the trees and the fixed collection name. Returns
+    /// how many segments were fetched.
+    pub fn refresh_shipped<E>(
+        &mut self,
+        manifest: &[u128],
+        mut fetch: impl FnMut(u128) -> Result<DataTree, E>,
+    ) -> Result<usize, E> {
+        let metas = manifest
+            .iter()
             .enumerate()
-            .map(|(i, (digest, tree))| Doc {
-                meta: DocMeta {
-                    name: format!("{digest:032x}-{i}"),
-                    seg: i as u64,
-                    digest,
-                    span: None,
-                },
-                tree,
+            .map(|(i, &digest)| DocMeta {
+                name: format!("{digest:032x}-{i}"),
+                seg: i as u64,
+                digest,
+                span: None,
             })
             .collect();
-        let next_seg = docs.len() as u64;
-        CorpusHandle {
-            name: name.to_string(),
-            store: StoreDir::attach(dir),
-            docs,
-            next_seg,
-            memo: RelationMemo::new(),
-            generation: 0,
-            seg_cache: HashMap::new(),
-            forest_cache: None,
-            readonly: true,
-            kernel_products_error_only: 0,
-            kernel_products_materialized: 0,
-            kernel_early_exits: 0,
-            kernel_summary_hits: 0,
-        }
+        self.set_docs(metas, |meta| fetch(meta.digest))
     }
 
     /// Stage 2: the collection forest, from the generation cache when the
@@ -1192,6 +1283,40 @@ mod tests {
         ));
         assert!(matches!(ro.remove_doc("d0"), Err(CorpusError::ReadOnly(_))));
         assert!(matches!(ro.compact(), Err(CorpusError::ReadOnly(_))));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn readonly_refresh_reads_only_new_segments_and_verifies_them() {
+        let root = tmp_root("refresh");
+        let store = CorpusStore::new(&root);
+        let mut owner = store.create("c").unwrap();
+        let config = DiscoveryConfig::default();
+        for i in 0..3 {
+            owner.add_doc(&format!("d{i}"), &doc(i)).unwrap();
+        }
+        let mut ro = store.open_readonly("c").unwrap();
+        ro.discover(&config);
+        owner.add_doc("d3", &doc(3)).unwrap();
+        owner.remove_doc("d1").unwrap();
+        assert_eq!(ro.refresh_readonly().unwrap(), 1, "only d3 is new");
+        assert_eq!(ro.doc_names(), owner.doc_names());
+        assert_eq!(
+            render_stable(&ro.discover(&config)),
+            render_stable(&owner.discover(&config))
+        );
+        // No change: nothing is read and the merged forest stays cached.
+        assert_eq!(ro.refresh_readonly().unwrap(), 0);
+        assert!(ro.status().forest_cached);
+        // A new segment whose bytes no longer match the manifest digest is
+        // refused, and the handle keeps its previous view.
+        owner.add_doc("d4", &doc(4)).unwrap();
+        fs::write(root.join("c").join("segments").join("seg-4.xtt"), b"junk").unwrap();
+        assert!(matches!(
+            ro.refresh_readonly(),
+            Err(CorpusError::Corrupt(_))
+        ));
+        assert_eq!(ro.doc_names(), vec!["d0", "d2", "d3"]);
         let _ = fs::remove_dir_all(&root);
     }
 

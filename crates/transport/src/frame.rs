@@ -15,8 +15,7 @@
 //! Version 2 adds a shared-secret auth digest to both handshake frames
 //! (see [`crate::join_auth`]/[`crate::plan_auth`]) and the
 //! content-addressed segment-shipping frames (`SegHave`/`SegManifest`/
-//! `SegData`) plus the batched `ForestShip` push, for workers with no
-//! shared filesystem view of the corpus.
+//! `SegData`), for workers with no shared filesystem view of the corpus.
 //!
 //! Version 3 changes two payload layouts: the `Plan` config drops its
 //! `parallel` flag (a thread count of 1 now means sequential), and the
@@ -25,13 +24,19 @@
 //! Version 4 changes what two payloads mean: pushed segment partials
 //! (`XSP2`) number value classes in document order, and relation-pass keys
 //! and the forest fingerprint in the handshake are word-wise digests.
+//!
+//! Version 5 lets the coordinator send `Plan` again between requests, on a
+//! live connection, after the corpus changed; the worker refreshes its
+//! document view and acks as in the first handshake. `Pass` carries the
+//! discovery configuration of the request it belongs to, and the batched
+//! `ForestShip` push is gone: partials travel as `Push` frames only.
 
 use std::io::{self, Read, Write};
 
 /// Protocol version, checked in the `Join` handshake. Bump on any frame
 /// layout change, including the layouts of the `Plan` config and `Pass`
 /// task payloads.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Hard cap on one frame's payload (a partial of a very large segment
 /// stays far below this); anything bigger is a protocol violation, not an
@@ -52,9 +57,11 @@ pub enum Frame {
         /// recomputes it from its own token and rejects mismatches.
         auth: u128,
     },
-    /// Coordinator → worker: the job description. The worker re-derives
-    /// the plan fingerprint from its own read-only view of `corpus_dir`
-    /// (or from shipped segments) and must come to the same answer.
+    /// Coordinator → worker: the job description, first in the handshake
+    /// and again whenever the corpus changed between requests. The worker
+    /// (re)reads its read-only view of `corpus_dir` (or receives shipped
+    /// segments), re-derives the plan fingerprint and must come to the
+    /// same answer.
     Plan {
         /// The coordinator's plan fingerprint.
         plan_fp: u128,
@@ -116,14 +123,6 @@ pub enum Frame {
         /// `xfd_relation::encode_partial` bytes.
         bytes: Vec<u8>,
     },
-    /// Coordinator → worker: every distinct partial of the merged forest
-    /// in one frame — encoded once and broadcast when a worker is missing
-    /// more than half of them, instead of N separate `Push` frames.
-    ForestShip {
-        /// `(digest, encode_partial bytes)` per distinct segment, in
-        /// first-appearance document order.
-        partials: Vec<(u128, Vec<u8>)>,
-    },
     /// Coordinator → worker: merge the forest from partials, in this
     /// exact per-document digest order, and fingerprint it.
     Build {
@@ -142,6 +141,9 @@ pub enum Frame {
     Pass {
         /// Correlation id, unique per cluster run.
         task_id: u64,
+        /// `discoverxfd::encode_config` bytes of the configuration the
+        /// pass runs under (the request's, not the handshake's).
+        config: Vec<u8>,
         /// `discoverxfd::WaveTask` bytes.
         task: Vec<u8>,
     },
@@ -183,7 +185,6 @@ const K_WORKER_ERROR: u8 = 14;
 const K_SEG_HAVE: u8 = 15;
 const K_SEG_MANIFEST: u8 = 16;
 const K_SEG_DATA: u8 = 17;
-const K_FOREST_SHIP: u8 = 18;
 
 fn proto_err(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("protocol: {what}"))
@@ -306,7 +307,6 @@ impl Frame {
             Frame::Encode { .. } => K_ENCODE,
             Frame::Partial { .. } => K_PARTIAL,
             Frame::Push { .. } => K_PUSH,
-            Frame::ForestShip { .. } => K_FOREST_SHIP,
             Frame::Build { .. } => K_BUILD,
             Frame::ForestAck { .. } => K_FOREST_ACK,
             Frame::Pass { .. } => K_PASS,
@@ -354,20 +354,18 @@ impl Frame {
                 put_u128(&mut out, *digest);
                 put_bytes(&mut out, bytes);
             }
-            Frame::ForestShip { partials } => {
-                put_u32(&mut out, partials.len() as u32);
-                for (digest, bytes) in partials {
-                    put_u128(&mut out, *digest);
-                    put_bytes(&mut out, bytes);
-                }
-            }
             Frame::Build { forest_fp, digests } => {
                 put_u128(&mut out, *forest_fp);
                 put_digests(&mut out, digests);
             }
             Frame::ForestAck { forest_fp } => put_u128(&mut out, *forest_fp),
-            Frame::Pass { task_id, task } => {
+            Frame::Pass {
+                task_id,
+                config,
+                task,
+            } => {
                 put_u64(&mut out, *task_id);
+                put_bytes(&mut out, config);
                 put_bytes(&mut out, task);
             }
             Frame::TaskResult { task_id, output } => {
@@ -414,20 +412,6 @@ impl Frame {
                 digest: c.u128()?,
                 bytes: c.bytes()?,
             },
-            K_FOREST_SHIP => {
-                let n = c.u32()? as usize;
-                // Each entry needs at least a digest and a length prefix.
-                if n > payload.len() / 20 {
-                    return Err(proto_err("partial count exceeds payload"));
-                }
-                let mut partials = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let digest = c.u128()?;
-                    let bytes = c.bytes()?;
-                    partials.push((digest, bytes));
-                }
-                Frame::ForestShip { partials }
-            }
             K_BUILD => {
                 let forest_fp = c.u128()?;
                 let digests = c.digests(payload.len())?;
@@ -438,6 +422,7 @@ impl Frame {
             },
             K_PASS => Frame::Pass {
                 task_id: c.u64()?,
+                config: c.bytes()?,
                 task: c.bytes()?,
             },
             K_TASK_RESULT => Frame::TaskResult {
@@ -542,9 +527,6 @@ mod tests {
                 digest: 43,
                 bytes: vec![],
             },
-            Frame::ForestShip {
-                partials: vec![(42, vec![9; 10]), (43, vec![])],
-            },
             Frame::Build {
                 forest_fp: 1,
                 digests: vec![42, 43, 42],
@@ -552,6 +534,7 @@ mod tests {
             Frame::ForestAck { forest_fp: 1 },
             Frame::Pass {
                 task_id: 17,
+                config: vec![1, 0, 3],
                 task: vec![4, 5],
             },
             Frame::TaskResult {
@@ -583,6 +566,7 @@ mod tests {
             &mut wire,
             &Frame::Pass {
                 task_id: 1,
+                config: vec![7],
                 task: vec![1, 2, 3, 4],
             },
         )
@@ -606,7 +590,7 @@ mod tests {
     #[test]
     fn shipping_frame_prefixes_are_errors_too() {
         // The v2 frames and the frames whose payload layouts changed in v3
-        // get the same every-prefix guarantee as the rest.
+        // and v5 get the same every-prefix guarantee as the rest.
         for frame in [
             Frame::Plan {
                 plan_fp: 5,
@@ -616,6 +600,7 @@ mod tests {
             },
             Frame::Pass {
                 task_id: 3,
+                config: vec![0, 1, 1, 1, 1, 1],
                 task: vec![2, 0, 0, 0, 9, 9, 9, 9],
             },
             Frame::SegHave {
@@ -624,9 +609,6 @@ mod tests {
             Frame::SegData {
                 digest: 7,
                 bytes: vec![1; 33],
-            },
-            Frame::ForestShip {
-                partials: vec![(7, vec![2; 12]), (8, vec![3; 5])],
             },
         ] {
             let mut wire = Vec::new();

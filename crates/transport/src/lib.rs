@@ -298,6 +298,7 @@ mod tests {
             &mut wire,
             &Frame::Pass {
                 task_id: 9,
+                config: vec![2, 2],
                 task: vec![1, 2, 3, 4, 5],
             },
         )

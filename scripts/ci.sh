@@ -193,7 +193,8 @@ echo "== loopback TCP cluster smoke"
 TCPW1_LOG=$(mktemp /tmp/ci-tcpw1-XXXXXX.log)
 TCPW2_LOG=$(mktemp /tmp/ci-tcpw2-XXXXXX.log)
 SEG_CACHE=$(mktemp -d /tmp/ci-segcache-XXXXXX)
-trap 'rm -f "$DOC" "$DOC2" "$DOC3" "$BANNER" "$CLUSTER_LOG" "$TCPW1_LOG" "$TCPW2_LOG"; rm -rf "$CORPUS_ROOT" "$SEG_CACHE"; [ -n "${SERVER_PID:-}" ] && kill -9 "$SERVER_PID" 2>/dev/null; [ -n "${W1_PID:-}" ] && kill -9 "$W1_PID" 2>/dev/null; [ -n "${W2_PID:-}" ] && kill -9 "$W2_PID" 2>/dev/null || true' EXIT
+DOC4=$(mktemp /tmp/ci-doc4-XXXXXX.xml)
+trap 'rm -f "$DOC" "$DOC2" "$DOC3" "$DOC4" "$BANNER" "$CLUSTER_LOG" "$TCPW1_LOG" "$TCPW2_LOG"; rm -rf "$CORPUS_ROOT" "$SEG_CACHE"; [ -n "${SERVER_PID:-}" ] && kill -9 "$SERVER_PID" 2>/dev/null; [ -n "${W1_PID:-}" ] && kill -9 "$W1_PID" 2>/dev/null; [ -n "${W2_PID:-}" ] && kill -9 "$W2_PID" 2>/dev/null || true' EXIT
 
 # Two standalone TCP workers on ephemeral loopback ports: one with shared
 # storage, one storage-less (fed via content-addressed segment shipping).
@@ -229,6 +230,15 @@ W2_PID=""
 
 # Serving mode routes corpus discovery through a persistent warm worker
 # pool when started with --cluster-workers; /metrics must account for it.
+# Every served body must equal the in-process report before its
+# wall-clock tail, whatever configuration the pool was admitted under and
+# after the corpus changed under the warm pool. The references are
+# computed outside the server: before it starts, and after it exits for
+# the changed corpus.
+stable() { awk '{ i = index($0, "\"total_ms\""); if (i) { print substr($0, 1, i - 1); exit } print }'; }
+"$BIN" corpus discover clean --root "$CORPUS_ROOT" --max-lhs 1 --json | stable > /tmp/ci-pool-ref-lhs1.json
+"$BIN" corpus discover clean --root "$CORPUS_ROOT" --json | stable > /tmp/ci-pool-ref-default.json
+"$BIN" gen warehouse --scale 2 --seed 13 > "$DOC4"
 "$BIN" serve --addr 127.0.0.1:0 --workers 2 --corpus-root "$CORPUS_ROOT" --cluster-workers 2 > "$BANNER" &
 SERVER_PID=$!
 for _ in $(seq 1 100); do
@@ -237,15 +247,25 @@ for _ in $(seq 1 100); do
 done
 ADDR=$(sed -n 's#listening on http://##p' "$BANNER")
 [ -n "$ADDR" ] || { echo "cluster server did not start"; exit 1; }
-curl -sS -X POST "http://$ADDR/v1/corpora/clean/discover" -o /dev/null
-# A different search config misses the result cache but keeps the plan
-# fingerprint, so the second request must reuse the warm pool entry.
-curl -sS -X POST "http://$ADDR/v1/corpora/clean/discover?max-lhs=4" -o /dev/null
+# The pool is admitted under an LHS bound; the default-config request
+# that follows misses the result cache but keeps the plan fingerprint, so
+# it reuses the warm pool entry and must still run every pass under its
+# own configuration.
+curl -sS -X POST "http://$ADDR/v1/corpora/clean/discover?max-lhs=1" | stable > /tmp/ci-pool-lhs1.json
+cmp /tmp/ci-pool-lhs1.json /tmp/ci-pool-ref-lhs1.json \
+  || { echo "pooled max-lhs=1 report differs from in-process corpus discover"; exit 1; }
+curl -sS -X POST "http://$ADDR/v1/corpora/clean/discover" | stable > /tmp/ci-pool-default.json
+cmp /tmp/ci-pool-default.json /tmp/ci-pool-ref-default.json \
+  || { echo "pooled default report (after a max-lhs=1 request) differs from in-process corpus discover"; exit 1; }
 # An identical repeat must be answered straight from the result cache —
 # no plan derivation, no cluster contact at all.
 curl -sS -X POST "http://$ADDR/v1/corpora/clean/discover" -o /dev/null -D /tmp/ci-headers.txt
 grep -qi '^X-Cache: hit' /tmp/ci-headers.txt \
   || { echo "expected X-Cache: hit on the repeat corpus discovery"; exit 1; }
+# A document added under the same schema: the warm workers re-plan in
+# place instead of being retired and respawned.
+curl -sS -X POST --data-binary @"$DOC4" "http://$ADDR/v1/corpora/clean/docs?name=d4" -o /dev/null
+curl -sS -X POST "http://$ADDR/v1/corpora/clean/discover" | stable > /tmp/ci-pool-changed.json
 curl -sS "http://$ADDR/metrics" > /tmp/ci-cluster-metrics.txt
 grep -q "^discoverxfd_cluster_workers 2$" /tmp/ci-cluster-metrics.txt \
   || { echo "expected discoverxfd_cluster_workers 2 in /metrics"; exit 1; }
@@ -255,8 +275,10 @@ grep -q '^discoverxfd_cluster_tasks_total{status="fallback"} 0$' /tmp/ci-cluster
   || { echo "expected zero fallback cluster tasks in /metrics"; exit 1; }
 grep -q "^discoverxfd_cluster_retries_total 0$" /tmp/ci-cluster-metrics.txt \
   || { echo "expected zero cluster retries in /metrics"; exit 1; }
-grep -Eq '^discoverxfd_pool_warm_hits_total [1-9]' /tmp/ci-cluster-metrics.txt \
-  || { echo "expected a warm pool hit in /metrics"; exit 1; }
+grep -Eq '^discoverxfd_pool_warm_hits_total ([2-9]|[1-9][0-9]+)$' /tmp/ci-cluster-metrics.txt \
+  || { echo "expected at least two warm pool hits in /metrics"; exit 1; }
+grep -q '^discoverxfd_pool_workers{state="reaped"} 0$' /tmp/ci-cluster-metrics.txt \
+  || { echo "expected no retired pool entry in /metrics"; exit 1; }
 grep -q '^discoverxfd_pool_workers{state="warm"} 2$' /tmp/ci-cluster-metrics.txt \
   || { echo "expected two warm pooled workers in /metrics"; exit 1; }
 grep -q "^discoverxfd_worker_panics_total 0$" /tmp/ci-cluster-metrics.txt \
@@ -264,7 +286,10 @@ grep -q "^discoverxfd_worker_panics_total 0$" /tmp/ci-cluster-metrics.txt \
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || { echo "cluster server did not exit cleanly on SIGTERM"; exit 1; }
 SERVER_PID=""
-echo "   warm pool reused across requests, cache hit skipped the cluster, zero panics"
+"$BIN" corpus discover clean --root "$CORPUS_ROOT" --json | stable > /tmp/ci-pool-ref-changed.json
+cmp /tmp/ci-pool-changed.json /tmp/ci-pool-ref-changed.json \
+  || { echo "pooled report after a document add differs from in-process corpus discover"; exit 1; }
+echo "   warm pool served both configurations and a corpus change without respawning, reports identical"
 
 echo "== bench corpus smoke"
 # Scaled-down bench_corpus run: same 33-doc / 8-category shape, smaller
