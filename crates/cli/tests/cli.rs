@@ -131,6 +131,32 @@ fn check_subcommand_verifies_fds() {
     assert!(text.contains("VIOLATED"), "{text}");
 }
 
+/// `check` on a failing inter-relation FD prints its witnesses in a fixed
+/// order (LHS groups by first member, then members ascending); the bytes
+/// are pinned in the workspace's `tests/golden/`.
+#[test]
+fn check_witnesses_match_golden() {
+    let gen = bin()
+        .args(["gen", "warehouse", "--seed", "1"])
+        .output()
+        .expect("gen runs");
+    assert!(gen.status.success());
+    let file = tempfile_lite::write("discoverxfd-cli-golden.xml", &gen.stdout);
+    let out = bin()
+        .args([
+            "check",
+            file.0.to_str().unwrap(),
+            "{../../name} -> ./price w.r.t. C_book",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        include_str!("../../../tests/golden/warehouse_check.txt")
+    );
+}
+
 #[test]
 fn select_subcommand_queries_documents() {
     let file = write_warehouse();

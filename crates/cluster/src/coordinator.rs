@@ -954,42 +954,62 @@ impl Cluster {
     }
 
     /// Graceful teardown: `Shutdown` to every survivor, close write
-    /// halves, reap spawned children (killing any that linger), close
+    /// halves, reap each spawned child as soon as its reader reports the
+    /// connection gone (killing any that linger past the deadline), close
     /// remote connections, join readers.
     pub(crate) fn shutdown(&mut self) -> ClusterStats {
         self.stats.workers_live = self.live_count() as u64;
         for slot in 0..self.workers.len() {
             self.send_to(slot, &Frame::Shutdown);
         }
-        for w in &mut self.workers {
+        let mut exiting = HashSet::new();
+        for (slot, w) in self.workers.iter_mut().enumerate() {
             w.stream.shutdown_write().ok();
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        for w in &mut self.workers {
-            let Some(child) = w.child.as_mut() else {
+            match w.child.as_mut() {
                 // Remote worker: not ours to reap. A full shutdown of the
                 // connection unblocks our reader thread; the worker loops
                 // back to listening.
-                w.stream.shutdown_both().ok();
-                w.reaped = true;
-                continue;
-            };
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => {
-                        w.reaped = true;
-                        break;
-                    }
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(10))
-                    }
-                    _ => {
-                        child.kill().ok();
-                        child.wait().ok();
-                        w.reaped = true;
-                        break;
+                None => {
+                    w.stream.shutdown_both().ok();
+                    w.reaped = true;
+                }
+                // Cut loose earlier, which killed it.
+                Some(child) if !w.alive => {
+                    child.wait().ok();
+                    w.reaped = true;
+                }
+                Some(_) => {
+                    exiting.insert(slot);
+                }
+            }
+        }
+        // A live worker exits on `Shutdown` or the half-close, and its
+        // reader then reports the connection gone: reap the child at once.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !exiting.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.events.recv_timeout(left) {
+                Ok(Event::Gone(slot)) => {
+                    if exiting.remove(&slot) {
+                        if let Some(w) = self.workers.get_mut(slot) {
+                            if let Some(child) = w.child.as_mut() {
+                                child.wait().ok();
+                            }
+                            w.reaped = true;
+                        }
                     }
                 }
+                Ok(Event::Frame(..)) => {}
+                Err(_) => break,
+            }
+        }
+        for slot in exiting {
+            if let Some(w) = self.workers.get_mut(slot) {
+                if let Some(child) = w.child.as_mut() {
+                    child.kill().ok();
+                    child.wait().ok();
+                }
+                w.reaped = true;
             }
         }
         for handle in self.readers.drain(..) {

@@ -6,13 +6,18 @@
 //! values, and reports minimal FDs (excluding superkey LHSs, which the
 //! lattice reports as keys) and minimal keys.
 //!
-//! Exponential — intended for tests and small documents only.
+//! Exponential — intended for tests and small documents only. It shares
+//! no grouping code with the product: satisfaction and keys are decided
+//! pairwise with `agree`, and [`lhs_group_members`] groups tuples with
+//! one hash-map key per tuple, for tests to compare against the product's
+//! partition-kernel grouping.
+
+use std::collections::HashMap;
 
 use xfd_partition::AttrSet;
 use xfd_relation::{Forest, RelId};
 
 use crate::interesting::{inter_fd_to_xfd, inter_key_to_key};
-use crate::redundancy::lhs_grouping;
 use crate::xfd::{RawInterFd, RawInterKey};
 
 /// Options for the oracle.
@@ -136,12 +141,37 @@ fn holds(forest: &Forest, origin: RelId, lhs: &[Attr], rhs: usize) -> bool {
 }
 
 fn is_key(forest: &Forest, origin: RelId, lhs: &[Attr]) -> bool {
-    if lhs.is_empty() {
-        return forest.relation(origin).n_tuples() <= 1;
+    let n = forest.relation(origin).n_tuples();
+    (0..n).all(|t1| (t1 + 1..n).all(|t2| !lhs.iter().all(|&a| agree(forest, origin, a, t1, t2))))
+}
+
+/// The oracle's LHS grouping: the tuples of `origin` grouped by their
+/// joined values on `levels`, singletons included, groups ordered by first
+/// member and members ascending. Agreement is `agree`'s: a ⊥ cell keys
+/// on the ancestor tuple that carries it, so tuples sharing that node
+/// group together, and an origin-level ⊥ groups with nothing.
+pub fn lhs_group_members(
+    forest: &Forest,
+    origin: RelId,
+    levels: &[(RelId, AttrSet)],
+) -> Vec<Vec<u32>> {
+    let n = forest.relation(origin).n_tuples();
+    let mut groups: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
+    for t in 0..n {
+        let mut key = Vec::new();
+        for &(rel, attrs) in levels {
+            for a in attrs.iter() {
+                match joined(forest, origin, (rel, a), t) {
+                    (_, Some(v)) => key.extend([0, v]),
+                    (anc, None) => key.extend([1, u64::from(anc)]),
+                }
+            }
+        }
+        groups.entry(key).or_default().push(t as u32);
     }
-    // Reuse the redundancy grouping: a key has no group of size ≥ 2.
-    let levels = to_levels(origin, lhs, forest);
-    lhs_grouping(forest, origin, &levels).0 == 0
+    let mut out: Vec<Vec<u32>> = groups.into_values().collect();
+    out.sort_by_key(|g| g[0]);
+    out
 }
 
 /// Convert a flat attr list into per-relation levels ordered origin-first.

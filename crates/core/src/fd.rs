@@ -48,12 +48,8 @@ impl fmt::Display for Xfd {
             }
             write!(f, "{p}")?;
         }
-        write!(
-            f,
-            "}} -> {} w.r.t. C_{}",
-            self.rhs,
-            class_name(&self.tuple_class)
-        )
+        write!(f, "}} -> {} w.r.t. C_", self.rhs)?;
+        write_class_name(f, &self.tuple_class)
     }
 }
 
@@ -71,7 +67,9 @@ pub struct XmlKey {
 
 impl fmt::Display for XmlKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Key(C_{}: {{", class_name(&self.tuple_class))?;
+        write!(f, "Key(C_")?;
+        write_class_name(f, &self.tuple_class)?;
+        write!(f, ": {{")?;
         for (i, p) in self.lhs.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
@@ -89,6 +87,14 @@ pub fn class_name(pivot: &Path) -> String {
         .last_label()
         .map(str::to_string)
         .unwrap_or_else(|| pivot.to_string())
+}
+
+/// [`class_name`], written straight to a formatter.
+fn write_class_name(f: &mut fmt::Formatter<'_>, pivot: &Path) -> fmt::Result {
+    match pivot.last_label() {
+        Some(label) => f.write_str(label),
+        None => write!(f, "{pivot}"),
+    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //!   requires the RHS to match descendant nodes of the pivot);
 //! * trivially, `RHS ∈ LHS` never occurs (the lattice never tests it).
 
+use xfd_hash::FxHashMap;
 use xfd_partition::AttrSet;
 use xfd_relation::{Forest, RelId};
 use xfd_xml::Path;
@@ -21,65 +22,107 @@ use crate::fd::{FdScope, Xfd, XmlKey};
 use crate::lattice::IntraFd;
 use crate::xfd::{ForestDiscovery, RawInterFd, RawInterKey};
 
-/// Resolve one column of `rel` to a path relative to `origin`'s pivot.
-fn column_path(forest: &Forest, origin: RelId, rel: RelId, col: usize) -> Path {
-    let origin_pivot = &forest.relation(origin).pivot_path;
-    let r = forest.relation(rel);
-    let abs = r.columns[col]
-        .rel_path
-        .to_absolute(&r.pivot_path)
-        .expect("column rel paths never climb past the root");
-    abs.relative_to(origin_pivot)
+/// Per-report table of resolved column paths. Each `(origin, relation,
+/// column)` path is resolved once; every FD and key naming the column
+/// then shares it (a [`Path`] clone is a reference-count bump).
+pub(crate) struct PathTable<'f> {
+    forest: &'f Forest,
+    columns: FxHashMap<(RelId, RelId, usize), Path>,
 }
 
-/// Convert LHS levels into relative paths (origin-relation attributes
-/// first, then ancestors).
-fn lhs_paths(forest: &Forest, origin: RelId, levels: &[(RelId, AttrSet)]) -> Vec<Path> {
-    let mut out = Vec::new();
-    for &(rel, attrs) in levels {
-        for a in attrs.iter() {
-            out.push(column_path(forest, origin, rel, a));
+impl<'f> PathTable<'f> {
+    pub(crate) fn new(forest: &'f Forest) -> Self {
+        PathTable {
+            forest,
+            columns: FxHashMap::default(),
         }
     }
-    out
+
+    /// Column `col` of `rel`, relative to `origin`'s pivot.
+    fn column(&mut self, origin: RelId, rel: RelId, col: usize) -> Path {
+        let forest = self.forest;
+        self.columns
+            .entry((origin, rel, col))
+            .or_insert_with(|| {
+                let r = forest.relation(rel);
+                let abs = r.columns[col]
+                    .rel_path
+                    .to_absolute(&r.pivot_path)
+                    .expect("column rel paths never climb past the root");
+                abs.relative_to(&forest.relation(origin).pivot_path)
+            })
+            .clone()
+    }
+
+    /// LHS levels as relative paths (origin-relation attributes first,
+    /// then ancestors).
+    fn lhs(&mut self, origin: RelId, levels: &[(RelId, AttrSet)]) -> Vec<Path> {
+        let mut out = Vec::new();
+        for &(rel, attrs) in levels {
+            for a in attrs.iter() {
+                out.push(self.column(origin, rel, a));
+            }
+        }
+        out
+    }
+
+    fn pivot(&self, rel: RelId) -> Path {
+        self.forest.relation(rel).pivot_path.clone()
+    }
+
+    pub(crate) fn intra_fd(&mut self, rel: RelId, fd: &IntraFd) -> Xfd {
+        Xfd {
+            tuple_class: self.pivot(rel),
+            lhs: self.lhs(rel, &[(rel, fd.lhs)]),
+            rhs: self.column(rel, rel, fd.rhs),
+            scope: FdScope::IntraRelation,
+        }
+    }
+
+    fn intra_key(&mut self, rel: RelId, lhs: AttrSet) -> XmlKey {
+        XmlKey {
+            tuple_class: self.pivot(rel),
+            lhs: self.lhs(rel, &[(rel, lhs)]),
+            scope: FdScope::IntraRelation,
+        }
+    }
+
+    pub(crate) fn inter_fd(&mut self, fd: &RawInterFd) -> Xfd {
+        Xfd {
+            tuple_class: self.pivot(fd.origin),
+            lhs: self.lhs(fd.origin, &fd.lhs_levels),
+            rhs: self.column(fd.origin, fd.origin, fd.rhs),
+            scope: FdScope::InterRelation,
+        }
+    }
+
+    fn inter_key(&mut self, key: &RawInterKey) -> XmlKey {
+        XmlKey {
+            tuple_class: self.pivot(key.origin),
+            lhs: self.lhs(key.origin, &key.lhs_levels),
+            scope: FdScope::InterRelation,
+        }
+    }
 }
 
 /// Convert an intra-relation FD of `rel` into an [`Xfd`].
 pub fn intra_fd_to_xfd(forest: &Forest, rel: RelId, fd: &IntraFd) -> Xfd {
-    Xfd {
-        tuple_class: forest.relation(rel).pivot_path.clone(),
-        lhs: lhs_paths(forest, rel, &[(rel, fd.lhs)]),
-        rhs: column_path(forest, rel, rel, fd.rhs),
-        scope: FdScope::IntraRelation,
-    }
+    PathTable::new(forest).intra_fd(rel, fd)
 }
 
 /// Convert an intra-relation key of `rel` into an [`XmlKey`].
 pub fn intra_key_to_key(forest: &Forest, rel: RelId, lhs: AttrSet) -> XmlKey {
-    XmlKey {
-        tuple_class: forest.relation(rel).pivot_path.clone(),
-        lhs: lhs_paths(forest, rel, &[(rel, lhs)]),
-        scope: FdScope::IntraRelation,
-    }
+    PathTable::new(forest).intra_key(rel, lhs)
 }
 
 /// Convert a raw inter-relation FD into an [`Xfd`].
 pub fn inter_fd_to_xfd(forest: &Forest, fd: &RawInterFd) -> Xfd {
-    Xfd {
-        tuple_class: forest.relation(fd.origin).pivot_path.clone(),
-        lhs: lhs_paths(forest, fd.origin, &fd.lhs_levels),
-        rhs: column_path(forest, fd.origin, fd.origin, fd.rhs),
-        scope: FdScope::InterRelation,
-    }
+    PathTable::new(forest).inter_fd(fd)
 }
 
 /// Convert a raw inter-relation key into an [`XmlKey`].
 pub fn inter_key_to_key(forest: &Forest, key: &RawInterKey) -> XmlKey {
-    XmlKey {
-        tuple_class: forest.relation(key.origin).pivot_path.clone(),
-        lhs: lhs_paths(forest, key.origin, &key.lhs_levels),
-        scope: FdScope::InterRelation,
-    }
+    PathTable::new(forest).inter_key(key)
 }
 
 /// Is this FD *interesting* per Definition 10 (given that it comes from
@@ -113,35 +156,33 @@ pub fn classify(forest: &Forest, disc: &ForestDiscovery, keep_uninteresting: boo
         uninteresting_fds: Vec::new(),
         uninteresting_keys: Vec::new(),
     };
+    let mut paths = PathTable::new(forest);
     for rd in &disc.relations {
         let essential = forest.relation(rd.rel).parent.is_some();
         for fd in &rd.fds {
-            let xfd = intra_fd_to_xfd(forest, rd.rel, fd);
             if essential && fd_is_interesting(forest, rd.rel, fd.rhs) {
-                out.fds.push(xfd);
+                out.fds.push(paths.intra_fd(rd.rel, fd));
             } else if keep_uninteresting {
-                out.uninteresting_fds.push(xfd);
+                out.uninteresting_fds.push(paths.intra_fd(rd.rel, fd));
             }
         }
         for &k in &rd.keys {
-            let key = intra_key_to_key(forest, rd.rel, k);
             if essential {
-                out.keys.push(key);
+                out.keys.push(paths.intra_key(rd.rel, k));
             } else if keep_uninteresting {
-                out.uninteresting_keys.push(key);
+                out.uninteresting_keys.push(paths.intra_key(rd.rel, k));
             }
         }
     }
     for fd in &disc.inter_fds {
-        let xfd = inter_fd_to_xfd(forest, fd);
         if fd_is_interesting(forest, fd.origin, fd.rhs) {
-            out.fds.push(xfd);
+            out.fds.push(paths.inter_fd(fd));
         } else if keep_uninteresting {
-            out.uninteresting_fds.push(xfd);
+            out.uninteresting_fds.push(paths.inter_fd(fd));
         }
     }
     for key in &disc.inter_keys {
-        out.keys.push(inter_key_to_key(forest, key));
+        out.keys.push(paths.inter_key(key));
     }
     out
 }

@@ -3,18 +3,20 @@
 //! LHS group with two or more tuples then stores its RHS value redundantly.
 //!
 //! Rather than cross-referencing the discovered key list (which is bounded
-//! by the same search budget as the FDs), the analyzer recomputes the LHS
-//! grouping directly from the relations — exact, and it also yields the
-//! redundancy *magnitude* (how many RHS values are stored redundantly).
+//! by the same search budget as the FDs), the analyzer builds each FD's
+//! LHS partition `Π_LHS` with the partition kernels (`lhs_partition`).
+//! Both of Definition 11's numbers are read off it: the redundancy's
+//! `groups` is the stripped group count and `redundant_values` is the
+//! error `e(Π_LHS) = Σ(|g| − 1)`. Each distinct LHS is built once per
+//! report, however many FDs share it.
 
-use std::collections::HashMap;
-
-use xfd_partition::AttrSet;
-use xfd_relation::{Forest, RelId};
+use xfd_partition::{AttrSet, GroupMap, Partition, ProductScratch};
+use xfd_relation::{ColumnKind, Forest, RelId};
 
 use crate::fd::Xfd;
-use crate::interesting::{fd_is_interesting, inter_fd_to_xfd, intra_fd_to_xfd};
-use crate::xfd::ForestDiscovery;
+use crate::interesting::{fd_is_interesting, PathTable};
+use crate::lattice::IntraFd;
+use crate::xfd::{ForestDiscovery, RawInterFd};
 
 /// One redundancy finding.
 #[derive(Debug, Clone)]
@@ -48,80 +50,79 @@ fn ancestor_map(forest: &Forest, origin: RelId, target: RelId) -> Vec<u32> {
     map
 }
 
-/// Group the origin relation's tuples by the joined LHS values; returns
-/// `(groups_with_2_plus, redundant_values)`.
+/// Lift a partition of ancestor relation `anc` to the tuples of `origin`.
 ///
-/// Agreement follows the semantics the discovery algorithm implements
-/// (see DESIGN.md, "node-identity semantics for ancestor attributes"):
-/// a ⊥ cell agrees with nothing *except* the same underlying node — two
-/// tuples sharing the ancestor tuple that carries the ⊥ agree on it
-/// (that is exactly what `updatePT`'s pair-collapse rule assumes). In
-/// encoding terms a ⊥ cell contributes `(⊥, ancestor-tuple-id)` to the
-/// grouping key; for origin-level attributes the ancestor is the tuple
-/// itself, which reproduces plain strong satisfaction.
-pub fn lhs_grouping(forest: &Forest, origin: RelId, levels: &[(RelId, AttrSet)]) -> (usize, usize) {
-    let members = lhs_group_members(forest, origin, levels);
-    let groups = members.iter().filter(|g| g.len() >= 2).count();
-    let redundant = members
-        .iter()
-        .filter(|g| g.len() >= 2)
-        .map(|g| g.len() - 1)
-        .sum();
-    (groups, redundant)
+/// Two origin tuples agree when their ancestor tuples share a group of
+/// `p`, or when they are the same ancestor tuple: node identity (DESIGN.md,
+/// "node-identity semantics for ancestor attributes"). An ancestor tuple
+/// outside every group — its value is ⊥, or no other ancestor tuple has
+/// it — stands for itself. Ids come from `p`'s own groups, so no range of
+/// cell values is assumed.
+fn lift(
+    forest: &Forest,
+    origin: RelId,
+    anc: RelId,
+    p: &Partition,
+    scratch: &mut ProductScratch,
+) -> Partition {
+    let groups = GroupMap::new(p);
+    let own_ids = groups.n_groups() as u64;
+    let ids: Vec<Option<u64>> = ancestor_map(forest, origin, anc)
+        .into_iter()
+        .map(|u| Some(groups.group_of(u).map_or(own_ids + u64::from(u), u64::from)))
+        .collect();
+    Partition::from_column_in(&ids, scratch)
 }
 
-/// The actual LHS groups (tuple indices of the origin relation), under the
-/// same agreement semantics as [`lhs_grouping`]. Singleton groups included.
-pub fn lhs_group_members(
+/// `Π_LHS`: the stripped partition of `origin`'s tuples by their joined
+/// values on `levels` (origin-level and ancestor-level attributes), in
+/// canonical order — groups by first member, members ascending.
+///
+/// An origin-level ⊥ agrees with nothing, so its tuple is a singleton; an
+/// ancestor-level attribute agrees under node identity (see `lift`). Each
+/// level's attributes are multiplied at their own relation and lifted
+/// once. An empty LHS gives `Π_∅`, one group of every tuple.
+pub(crate) fn lhs_partition(
     forest: &Forest,
     origin: RelId,
     levels: &[(RelId, AttrSet)],
-) -> Vec<Vec<u32>> {
-    let n = forest.relation(origin).n_tuples();
-    let mut keys: Vec<Vec<u64>> = vec![Vec::new(); n];
+    scratch: &mut ProductScratch,
+) -> Partition {
+    let mut acc: Option<Partition> = None;
     for &(lrel, attrs) in levels {
-        let amap = ancestor_map(forest, origin, lrel);
         let rel = forest.relation(lrel);
+        let mut level: Option<Partition> = None;
         for a in attrs.iter() {
-            let cells = &rel.columns[a].cells;
-            for (t, key) in keys.iter_mut().enumerate() {
-                match cells[amap[t] as usize] {
-                    Some(v) => {
-                        key.push(0);
-                        key.push(v);
-                    }
-                    None => {
-                        key.push(1);
-                        key.push(u64::from(amap[t]));
-                    }
-                }
-            }
+            let p = Partition::from_column_in(&rel.columns[a].cells, scratch);
+            level = Some(match level {
+                Some(l) => l.product_in(&p, scratch),
+                None => p,
+            });
         }
+        let Some(level) = level else { continue };
+        let level = if lrel == origin {
+            level
+        } else {
+            lift(forest, origin, lrel, &level, scratch)
+        };
+        let joined = match acc {
+            Some(acc) => acc.product_in(&level, scratch),
+            None => level,
+        };
+        if joined.is_key() {
+            return joined; // no product can regroup a key's tuples
+        }
+        acc = Some(joined);
     }
-    let mut groups: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
-    for (t, key) in keys.into_iter().enumerate() {
-        groups.entry(key).or_default().push(t as u32);
-    }
-    let mut out: Vec<Vec<u32>> = groups.into_values().collect();
-    out.sort_by_key(|g| g[0]);
-    out
+    acc.unwrap_or_else(|| Partition::universal(forest.relation(origin).n_tuples()))
 }
 
-/// Up to three rendered RHS example values from the ≥2-sized LHS groups.
-fn rhs_examples(
-    forest: &Forest,
-    origin: RelId,
-    levels: &[(RelId, AttrSet)],
-    rhs: usize,
-) -> Vec<String> {
-    use xfd_relation::ColumnKind;
-    let rel = forest.relation(origin);
-    let col = &rel.columns[rhs];
+/// Up to three rendered RHS example values, from the first groups of
+/// `Π_LHS` (canonical order) whose RHS is not ⊥.
+fn rhs_examples(forest: &Forest, origin: RelId, rhs: usize, lhs: &Partition) -> Vec<String> {
+    let col = &forest.relation(origin).columns[rhs];
     let mut out = Vec::new();
-    for g in lhs_group_members(forest, origin, levels) {
-        if g.len() < 2 {
-            continue;
-        }
+    for g in lhs.groups() {
         if let Some(v) = col.cells[g[0] as usize] {
             let rendered = match col.kind {
                 ColumnKind::Simple => {
@@ -147,44 +148,78 @@ fn rhs_examples(
     out
 }
 
-/// Find every redundancy indicated by the discovered interesting FDs.
+/// An interesting FD awaiting its LHS partition.
+enum Candidate<'a> {
+    Intra(RelId, &'a IntraFd),
+    Inter(&'a RawInterFd),
+}
+
+/// Find every redundancy indicated by the discovered interesting FDs, in
+/// FD order: intra-relation FDs relation by relation, then inter-relation
+/// FDs.
 pub fn analyze(forest: &Forest, disc: &ForestDiscovery) -> Vec<Redundancy> {
-    let mut out = Vec::new();
+    let mut candidates = Vec::new();
     for rd in &disc.relations {
         if forest.relation(rd.rel).parent.is_none() {
             continue;
         }
         for fd in &rd.fds {
-            if !fd_is_interesting(forest, rd.rel, fd.rhs) {
-                continue;
-            }
-            let levels = [(rd.rel, fd.lhs)];
-            let (groups, redundant_values) = lhs_grouping(forest, rd.rel, &levels);
-            if groups > 0 {
-                out.push(Redundancy {
-                    fd: intra_fd_to_xfd(forest, rd.rel, fd),
-                    groups,
-                    redundant_values,
-                    examples: rhs_examples(forest, rd.rel, &levels, fd.rhs),
-                });
+            if fd_is_interesting(forest, rd.rel, fd.rhs) {
+                candidates.push(Candidate::Intra(rd.rel, fd));
             }
         }
     }
     for fd in &disc.inter_fds {
-        if !fd_is_interesting(forest, fd.origin, fd.rhs) {
+        if fd_is_interesting(forest, fd.origin, fd.rhs) {
+            candidates.push(Candidate::Inter(fd));
+        }
+    }
+
+    // The LHS each candidate groups by, as (origin, non-empty levels).
+    let lhs: Vec<(RelId, Vec<(RelId, AttrSet)>)> = candidates
+        .iter()
+        .map(|c| {
+            let (origin, levels) = match c {
+                Candidate::Intra(rel, fd) => (*rel, vec![(*rel, fd.lhs)]),
+                Candidate::Inter(fd) => (fd.origin, fd.lhs_levels.clone()),
+            };
+            let mut levels: Vec<_> = levels.into_iter().filter(|(_, a)| !a.is_empty()).collect();
+            levels.sort_unstable();
+            (origin, levels)
+        })
+        .collect();
+    // Visit candidates LHS by LHS, so each distinct `Π_LHS` is built once
+    // and dropped before the next; results land back in FD order.
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_by(|&a, &b| lhs[a].cmp(&lhs[b]));
+
+    let mut scratch = ProductScratch::new();
+    let mut paths = PathTable::new(forest);
+    let mut found: Vec<Option<Redundancy>> = Vec::new();
+    found.resize_with(candidates.len(), || None);
+    let mut rest = &order[..];
+    while let Some(&first) = rest.first() {
+        let (origin, levels) = &lhs[first];
+        let (run, tail) = rest.split_at(rest.iter().take_while(|&&i| lhs[i] == lhs[first]).count());
+        rest = tail;
+        let partition = lhs_partition(forest, *origin, levels, &mut scratch);
+        if partition.n_groups() == 0 {
             continue;
         }
-        let (groups, redundant_values) = lhs_grouping(forest, fd.origin, &fd.lhs_levels);
-        if groups > 0 {
-            out.push(Redundancy {
-                fd: inter_fd_to_xfd(forest, fd),
-                groups,
-                redundant_values,
-                examples: rhs_examples(forest, fd.origin, &fd.lhs_levels, fd.rhs),
+        for &i in run {
+            let (fd, rhs) = match candidates[i] {
+                Candidate::Intra(rel, fd) => (paths.intra_fd(rel, fd), fd.rhs),
+                Candidate::Inter(fd) => (paths.inter_fd(fd), fd.rhs),
+            };
+            found[i] = Some(Redundancy {
+                fd,
+                groups: partition.n_groups(),
+                redundant_values: partition.error(),
+                examples: rhs_examples(forest, *origin, rhs, &partition),
             });
         }
     }
-    out
+    found.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Rendering of a [`DiscoveryReport`] as plain text or Markdown — shared
 //! by the CLI and downstream tooling.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::driver::RunOutcome;
 use crate::normalize::suggest;
@@ -157,23 +157,54 @@ pub fn render_markdown(report: &RunOutcome, opts: &RenderOptions) -> String {
     out
 }
 
-/// Minimal JSON string escaping.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// A [`fmt::Write`] adapter that JSON-escapes everything written through
+/// it straight into the output buffer.
+struct JsonEscaped<'a>(&'a mut String);
+
+impl fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\t' => "\\t",
+                b'\r' => "\\r",
+                b if b < 0x20 => "",
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so `i` is a char boundary.
+            self.0.push_str(&s[start..i]);
+            if escape.is_empty() {
+                write!(self.0, "\\u{b:04x}")?;
+            } else {
+                self.0.push_str(escape);
             }
-            c => out.push(c),
+            start = i + 1;
         }
+        self.0.push_str(&s[start..]);
+        Ok(())
     }
-    out
+}
+
+/// Append `value`'s `Display` form to `out` as a JSON string literal.
+fn push_json_str(out: &mut String, value: &dyn fmt::Display) {
+    out.push('"');
+    let _ = write!(JsonEscaped(out), "{value}");
+    out.push('"');
+}
+
+/// Append `paths` to `out` as a JSON array of strings.
+fn push_json_paths(out: &mut String, paths: &[xfd_xml::Path]) {
+    out.push('[');
+    for (i, p) in paths.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_json_str(out, p);
+    }
+    out.push(']');
 }
 
 /// Render as a JSON document (machine-readable CI artifact). Hand-rolled
@@ -187,57 +218,47 @@ fn json_escape(s: &str) -> String {
 ///   "stats": {...}
 /// }
 /// ```
+///
+/// Every path and FD is written in place into the one output buffer.
 pub fn render_json(report: &RunOutcome) -> String {
     let mut out = String::from("{\n  \"fds\": [");
     for (i, fd) in report.fds.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let lhs: Vec<String> = fd
-            .lhs
-            .iter()
-            .map(|p| format!("\"{}\"", json_escape(&p.to_string())))
-            .collect();
-        let _ = write!(
-            out,
-            "\n    {{\"class\": \"{}\", \"lhs\": [{}], \"rhs\": \"{}\", \"scope\": \"{}\"}}",
-            json_escape(&fd.tuple_class.to_string()),
-            lhs.join(", "),
-            json_escape(&fd.rhs.to_string()),
-            match fd.scope {
-                crate::fd::FdScope::IntraRelation => "intra",
-                crate::fd::FdScope::InterRelation => "inter",
-            }
-        );
+        out.push_str("\n    {\"class\": ");
+        push_json_str(&mut out, &fd.tuple_class);
+        out.push_str(", \"lhs\": ");
+        push_json_paths(&mut out, &fd.lhs);
+        out.push_str(", \"rhs\": ");
+        push_json_str(&mut out, &fd.rhs);
+        out.push_str(match fd.scope {
+            crate::fd::FdScope::IntraRelation => ", \"scope\": \"intra\"}",
+            crate::fd::FdScope::InterRelation => ", \"scope\": \"inter\"}",
+        });
     }
     out.push_str("\n  ],\n  \"keys\": [");
     for (i, key) in report.keys.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let lhs: Vec<String> = key
-            .lhs
-            .iter()
-            .map(|p| format!("\"{}\"", json_escape(&p.to_string())))
-            .collect();
-        let _ = write!(
-            out,
-            "\n    {{\"class\": \"{}\", \"lhs\": [{}]}}",
-            json_escape(&key.tuple_class.to_string()),
-            lhs.join(", ")
-        );
+        out.push_str("\n    {\"class\": ");
+        push_json_str(&mut out, &key.tuple_class);
+        out.push_str(", \"lhs\": ");
+        push_json_paths(&mut out, &key.lhs);
+        out.push('}');
     }
     out.push_str("\n  ],\n  \"redundancies\": [");
     for (i, r) in report.redundancies.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        out.push_str("\n    {\"fd\": ");
+        push_json_str(&mut out, &r.fd);
         let _ = write!(
             out,
-            "\n    {{\"fd\": \"{}\", \"groups\": {}, \"redundant_values\": {}}}",
-            json_escape(&r.fd.to_string()),
-            r.groups,
-            r.redundant_values
+            ", \"groups\": {}, \"redundant_values\": {}}}",
+            r.groups, r.redundant_values
         );
     }
     let _ = write!(
@@ -337,8 +358,14 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            push_json_str(&mut out, &s);
+            out
+        };
+        assert_eq!(escaped("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escaped("\u{1}\tü\r"), "\"\\u0001\\tü\\r\"");
+        assert_eq!(escaped(""), "\"\"");
     }
 
     #[test]

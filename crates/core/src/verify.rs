@@ -14,11 +14,11 @@
 use std::fmt;
 use std::str::FromStr;
 
-use xfd_partition::AttrSet;
+use xfd_partition::{AttrSet, ProductScratch};
 use xfd_relation::{Forest, RelId};
 use xfd_xml::{NodeId, Path};
 
-use crate::redundancy::lhs_group_members;
+use crate::redundancy::lhs_partition;
 
 /// A parsed-but-unresolved FD expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,14 +210,9 @@ pub fn verify_fd(
 
     let rel = forest.relation(origin);
     let rhs_cells = &rel.columns[rhs_col].cells;
-    let groups = lhs_group_members(forest, origin, &levels);
+    let lhs = lhs_partition(forest, origin, &levels, &mut ProductScratch::new());
     let mut violations = Vec::new();
-    let mut lhs_is_key = true;
-    'outer: for g in &groups {
-        if g.len() < 2 {
-            continue;
-        }
-        lhs_is_key = false;
+    'outer: for g in lhs.groups() {
         // All members must share a non-null RHS.
         let first = g[0] as usize;
         for &t in &g[1..] {
@@ -235,7 +230,7 @@ pub fn verify_fd(
     }
     Ok(FdReport {
         holds: violations.is_empty(),
-        lhs_is_key,
+        lhs_is_key: lhs.is_key(),
         violations,
         tuples: rel.n_tuples(),
     })
@@ -271,9 +266,9 @@ pub fn verify_key(
         }
     }
     let rel = forest.relation(origin);
-    let groups = lhs_group_members(forest, origin, &levels);
+    let lhs = lhs_partition(forest, origin, &levels, &mut ProductScratch::new());
     let mut violations = Vec::new();
-    'outer: for g in &groups {
+    'outer: for g in lhs.groups() {
         for w in g.windows(2) {
             violations.push(Violation {
                 node1: rel.node_keys[w[0] as usize],

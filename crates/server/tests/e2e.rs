@@ -256,6 +256,21 @@ fn async_jobs_poll_to_completion_and_results_are_fetchable() {
     join.join().unwrap().unwrap();
 }
 
+/// A document whose discovery outlasts a request round trip many times
+/// over: one relation of ten random columns over a domain of four, so the
+/// lattice validates almost every node (tens of milliseconds) while the
+/// parse takes a few. Tests that need a busy worker must not depend on
+/// how cheap parsing or the report path is.
+fn slow_document() -> String {
+    xfd_xml::to_xml_string(&xfd_datagen::wide_relation(&xfd_datagen::WideSpec {
+        rows: 1_500,
+        width: 10,
+        domain: 4,
+        derived_fraction: 0.0,
+        seed: 1,
+    }))
+}
+
 #[test]
 fn saturated_queue_sheds_load_with_retry_after() {
     let (addr, handle, join) = spawn_server(ServerConfig {
@@ -263,10 +278,9 @@ fn saturated_queue_sheds_load_with_retry_after() {
         queue_depth: 1,
         ..ServerConfig::default()
     });
-    // A document big enough that one run occupies the single worker while
+    // A document slow enough that one run occupies the single worker while
     // the flood arrives.
-    let spec = xfd_datagen::XmarkSpec::with_scale(1.0);
-    let doc = xfd_xml::to_xml_string(&xfd_datagen::xmark_like(&spec));
+    let doc = slow_document();
 
     // Vary a config knob per request: distinct digests (no cache hits),
     // identical parse/discovery work.
@@ -307,8 +321,7 @@ fn slow_discoveries_time_out_with_a_pollable_job() {
         request_timeout: Duration::from_millis(1),
         ..ServerConfig::default()
     });
-    let spec = xfd_datagen::XmarkSpec::with_scale(1.0);
-    let doc = xfd_xml::to_xml_string(&xfd_datagen::xmark_like(&spec));
+    let doc = slow_document();
     let reply = post(addr, "/v1/discover", &doc);
     assert_eq!(reply.status, 504, "{}", reply.body);
     let job_id: u64 = field_u64(&reply.body, "\"job\": ");

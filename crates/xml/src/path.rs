@@ -11,6 +11,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::tree::{DataTree, NodeId};
 
@@ -24,10 +25,14 @@ pub enum Step {
 }
 
 /// A path expression: absolute (`/a/b/c`) or relative (`./x`, `../y/z`, `.`).
+///
+/// The steps are immutable and shared: cloning a path bumps a reference
+/// count, so every FD and key that names the same column shares one
+/// resolved path instead of copying its labels.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Path {
     absolute: bool,
-    steps: Vec<Step>,
+    steps: Arc<[Step]>,
 }
 
 /// Error produced when parsing a path string fails.
@@ -47,7 +52,7 @@ impl Path {
     pub fn self_path() -> Self {
         Path {
             absolute: false,
-            steps: Vec::new(),
+            steps: Arc::from([]),
         }
     }
 
@@ -65,7 +70,7 @@ impl Path {
         steps.extend(labels.into_iter().map(|l| Step::Child(l.into())));
         Path {
             absolute: false,
-            steps,
+            steps: steps.into(),
         }
     }
 
@@ -99,11 +104,11 @@ impl Path {
 
     /// Append a child step, returning a new path.
     pub fn child(&self, label: &str) -> Path {
-        let mut steps = self.steps.clone();
+        let mut steps = self.steps.to_vec();
         steps.push(Step::Child(label.to_string()));
         Path {
             absolute: self.absolute,
-            steps,
+            steps: steps.into(),
         }
     }
 
@@ -113,7 +118,7 @@ impl Path {
         match self.steps.last() {
             Some(Step::Child(_)) => Some(Path {
                 absolute: self.absolute,
-                steps: self.steps[..self.steps.len() - 1].to_vec(),
+                steps: self.steps[..self.steps.len() - 1].into(),
             }),
             _ => None,
         }
@@ -123,7 +128,7 @@ impl Path {
     pub fn is_prefix_of(&self, other: &Path) -> bool {
         self.absolute == other.absolute
             && self.steps.len() <= other.steps.len()
-            && self.steps == other.steps[..self.steps.len()]
+            && *self.steps == other.steps[..self.steps.len()]
     }
 
     /// Labels of an absolute path, e.g. `["warehouse", "state"]`.
@@ -151,8 +156,8 @@ impl Path {
             return Some(self.clone());
         }
         debug_assert!(base.absolute, "base must be absolute");
-        let mut steps = base.steps.clone();
-        for s in &self.steps {
+        let mut steps = base.steps.to_vec();
+        for s in self.steps.iter() {
             match s {
                 Step::Parent => {
                     steps.pop()?;
@@ -162,7 +167,7 @@ impl Path {
         }
         Some(Path {
             absolute: true,
-            steps,
+            steps: steps.into(),
         })
     }
 
@@ -188,7 +193,7 @@ impl Path {
         steps.extend(self.steps[common..].iter().cloned());
         Path {
             absolute: false,
-            steps,
+            steps: steps.into(),
         }
     }
 
@@ -203,7 +208,7 @@ impl Path {
             .count();
         Path {
             absolute: true,
-            steps: self.steps[..common].to_vec(),
+            steps: self.steps[..common].into(),
         }
     }
 
@@ -243,7 +248,7 @@ impl Path {
             return self.resolve_all(tree);
         }
         let mut frontier = vec![context];
-        for step in &self.steps {
+        for step in self.steps.iter() {
             let mut next = Vec::new();
             for n in frontier {
                 match step {
@@ -266,37 +271,32 @@ impl Path {
 }
 
 impl fmt::Display for Path {
+    /// Absolute paths render as `/a/b` (`/` when empty); relative ones as
+    /// `./x/y`, `../y` or `.`. Steps are written straight to the
+    /// formatter, so rendering allocates nothing.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Some((first, rest)) = self.steps.split_first() else {
+            return f.write_str(if self.absolute { "/" } else { "." });
+        };
         if self.absolute {
-            if self.steps.is_empty() {
-                return write!(f, "/");
-            }
-            for s in &self.steps {
-                match s {
-                    Step::Child(l) => write!(f, "/{l}")?,
-                    Step::Parent => write!(f, "/..")?,
-                }
-            }
-            Ok(())
-        } else {
-            if self.steps.is_empty() {
-                return write!(f, ".");
-            }
-            let parts: Vec<&str> = self
-                .steps
-                .iter()
-                .map(|s| match s {
-                    Step::Child(l) => l.as_str(),
-                    Step::Parent => "..",
-                })
-                .collect();
-            if matches!(self.steps[0], Step::Parent) {
-                write!(f, "{}", parts.join("/"))
-            } else {
-                write!(f, "./{}", parts.join("/"))
-            }
+            f.write_str("/")?;
+        } else if matches!(first, Step::Child(_)) {
+            f.write_str("./")?;
         }
+        write_step(f, first)?;
+        for s in rest {
+            f.write_str("/")?;
+            write_step(f, s)?;
+        }
+        Ok(())
     }
+}
+
+fn write_step(f: &mut fmt::Formatter<'_>, step: &Step) -> fmt::Result {
+    f.write_str(match step {
+        Step::Child(l) => l,
+        Step::Parent => "..",
+    })
 }
 
 impl FromStr for Path {
@@ -312,7 +312,7 @@ impl FromStr for Path {
         if s == "/" {
             return Ok(Path {
                 absolute: true,
-                steps: Vec::new(),
+                steps: Arc::from([]),
             });
         }
         let absolute = s.starts_with('/');
@@ -339,7 +339,10 @@ impl FromStr for Path {
                 label => steps.push(Step::Child(label.to_string())),
             }
         }
-        Ok(Path { absolute, steps })
+        Ok(Path {
+            absolute,
+            steps: steps.into(),
+        })
     }
 }
 
