@@ -372,11 +372,12 @@ fn product_allocation_comparison(out: &mut String) {
     // The error-only kernel returns a 3-word summary from warmed scratch:
     // steady state must be allocation-free, and this is the assert that
     // keeps it so.
-    let warm = pa.product_error_in(&pb, &mut scratch, None);
+    let base = GroupMap::new(&pb);
+    let warm = pa.error_refine_in(&base, &mut scratch, None);
     std::hint::black_box(&warm);
     let before = allocs();
     for _ in 0..REPS {
-        let s = pa.product_error_in(&pb, &mut scratch, None);
+        let s = pa.error_refine_in(&base, &mut scratch, None);
         std::hint::black_box(&s);
     }
     let error_only_allocs = allocs() - before;

@@ -5,8 +5,7 @@
 //! The experiment harness: one function per table/figure of the
 //! (reconstructed) evaluation — see DESIGN.md's per-experiment index.
 //! `cargo run -p xfd-bench --release --bin experiments [-- <filter>]`
-//! prints the rows; the Criterion benches in `benches/` time the same
-//! sweeps with statistical rigor.
+//! prints the rows.
 
 use std::time::{Duration, Instant};
 

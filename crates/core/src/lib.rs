@@ -83,4 +83,4 @@ pub use memo::{
     RelationProgress, WaveTask,
 };
 pub use redundancy::Redundancy;
-pub use wire::{decode_config, encode_config, WireError};
+pub use wire::{decode_config, encode_config};

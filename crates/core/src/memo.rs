@@ -30,6 +30,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use xfd_hash::codec::{put_u128, put_u32, put_usize, CodecError, Reader};
 use xfd_hash::{FxHashMap, WordDigest};
 use xfd_partition::{AttrSet, PairSet};
 use xfd_relation::{ColumnKind, Forest, RelId};
@@ -428,9 +429,9 @@ impl WaveTask {
     /// Serialize for dispatch to another process.
     pub fn encode_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        crate::wire::put_u32(&mut out, self.rel.0);
-        crate::wire::put_u128(&mut out, self.key);
-        crate::wire::put_usize(&mut out, self.incoming.len());
+        put_u32(&mut out, self.rel.0);
+        put_u128(&mut out, self.key);
+        put_usize(&mut out, self.incoming.len());
         for t in &self.incoming {
             crate::wire::put_target(&mut out, t);
         }
@@ -438,11 +439,11 @@ impl WaveTask {
     }
 
     /// Decode a task encoded by [`WaveTask::encode_bytes`].
-    pub fn decode_bytes(bytes: &[u8]) -> Result<WaveTask, crate::wire::WireError> {
-        let mut r = crate::wire::Reader::new(bytes);
+    pub fn decode_bytes(bytes: &[u8]) -> Result<WaveTask, CodecError> {
+        let mut r = Reader::new(bytes);
         let rel = RelId(r.u32()?);
         let key = r.u128()?;
-        let n = r.len(20)?;
+        let n = r.count_u64(20)?;
         let mut incoming = Vec::with_capacity(n);
         for _ in 0..n {
             incoming.push(crate::wire::read_target(&mut r)?);

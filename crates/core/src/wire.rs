@@ -9,11 +9,13 @@
 //! layer only ever sees encoded bytes, via
 //! [`crate::memo::run_task`] / [`crate::memo::PassRunner`].
 //!
-//! Decoding is strict and panic-free: truncation, trailing bytes and
-//! values that would later violate an invariant (a degenerate pair `a = a`
-//! would panic `PairSet::insert`) are all typed errors. A decode error on
-//! the coordinator merely forces the pass to recompute in process.
+//! Decoding is strict and panic-free, on the shared [`xfd_hash::codec`]
+//! reader: truncation, trailing bytes and values that would later violate
+//! an invariant (a degenerate pair `a = a` would panic `PairSet::insert`)
+//! are all typed errors. A decode error on the coordinator merely forces
+//! the pass to recompute in process.
 
+use xfd_hash::codec::{put_bool, put_u128, put_u32, put_usize, CodecError, Reader};
 use xfd_partition::{AttrSet, PairSet};
 use xfd_relation::{ComplexColumnMode, OrderMode, RelId, SetColumnMode};
 
@@ -22,122 +24,6 @@ use crate::intra::RunStats;
 use crate::lattice::IntraFd;
 use crate::target::PartitionTarget;
 use crate::xfd::{RawInterFd, RawInterKey, RelationDiscovery, RelationOutput, TargetStats};
-
-/// Why a wire blob could not be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The blob ends before the advertised content does.
-    Truncated,
-    /// Bytes remain after the last field.
-    TrailingBytes,
-    /// A tag or enum discriminant is out of range.
-    BadTag(&'static str),
-    /// A value violates a structural invariant (e.g. a pair `a = a`).
-    BadValue(&'static str),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "wire blob truncated"),
-            WireError::TrailingBytes => write!(f, "wire blob has trailing bytes"),
-            WireError::BadTag(what) => write!(f, "wire blob has an invalid {what}"),
-            WireError::BadValue(what) => write!(f, "wire blob has an out-of-range {what}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// Byte reader over a wire blob; every read is bounds-checked.
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        let slice = self.bytes.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        self.take(1)?.first().copied().ok_or(WireError::Truncated)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        let b = <[u8; 4]>::try_from(self.take(4)?).map_err(|_| WireError::Truncated)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        let b = <[u8; 8]>::try_from(self.take(8)?).map_err(|_| WireError::Truncated)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    pub(crate) fn u128(&mut self) -> Result<u128, WireError> {
-        let b = <[u8; 16]>::try_from(self.take(16)?).map_err(|_| WireError::Truncated)?;
-        Ok(u128::from_le_bytes(b))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize, WireError> {
-        usize::try_from(self.u64()?).map_err(|_| WireError::BadValue("usize"))
-    }
-
-    /// A sequence length, sanity-bounded by the bytes that remain (each
-    /// element needs at least `min_elem_bytes`), so a corrupt length can
-    /// never drive a huge allocation.
-    pub(crate) fn len(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.usize()?;
-        let remaining = self.bytes.len().saturating_sub(self.pos);
-        if n > remaining / min_elem_bytes.max(1) {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::BadTag("bool")),
-        }
-    }
-
-    pub(crate) fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
-        }
-    }
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-
-pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
 
 fn put_opt_usize(out: &mut Vec<u8>, v: Option<usize>) {
     match v {
@@ -149,11 +35,11 @@ fn put_opt_usize(out: &mut Vec<u8>, v: Option<usize>) {
     }
 }
 
-fn opt_usize(r: &mut Reader<'_>) -> Result<Option<usize>, WireError> {
+fn opt_usize(r: &mut Reader<'_>) -> Result<Option<usize>, CodecError> {
     match r.u8()? {
         0 => Ok(None),
         1 => Ok(Some(r.usize()?)),
-        _ => Err(WireError::BadTag("option")),
+        _ => Err(CodecError::BadTag("option")),
     }
 }
 
@@ -192,24 +78,24 @@ pub fn encode_config(config: &DiscoveryConfig) -> Vec<u8> {
 }
 
 /// Decode a configuration encoded by [`encode_config`].
-pub fn decode_config(bytes: &[u8]) -> Result<DiscoveryConfig, WireError> {
+pub fn decode_config(bytes: &[u8]) -> Result<DiscoveryConfig, CodecError> {
     let mut r = Reader::new(bytes);
     let set_columns = match r.u8()? {
         0 => SetColumnMode::None,
         1 => SetColumnMode::SimpleOnly,
         2 => SetColumnMode::All,
-        _ => return Err(WireError::BadTag("set-column mode")),
+        _ => return Err(CodecError::BadTag("set-column mode")),
     };
     let complex_columns = match r.u8()? {
         0 => ComplexColumnMode::NodeKey,
         1 => ComplexColumnMode::ValueClass,
         2 => ComplexColumnMode::Omit,
-        _ => return Err(WireError::BadTag("complex-column mode")),
+        _ => return Err(CodecError::BadTag("complex-column mode")),
     };
     let order = match r.u8()? {
         0 => OrderMode::Unordered,
         1 => OrderMode::Ordered,
-        _ => return Err(WireError::BadTag("order mode")),
+        _ => return Err(CodecError::BadTag("order mode")),
     };
     let numeric_values = r.bool()?;
     let config = DiscoveryConfig {
@@ -256,14 +142,14 @@ fn put_pairs(out: &mut Vec<u8>, pairs: &PairSet) {
     }
 }
 
-fn read_pairs(r: &mut Reader<'_>) -> Result<PairSet, WireError> {
-    let n = r.len(8)?;
+fn read_pairs(r: &mut Reader<'_>) -> Result<PairSet, CodecError> {
+    let n = r.count_u64(8)?;
     let mut set = PairSet::new();
     for _ in 0..n {
         let a = r.u32()?;
         let b = r.u32()?;
         if a == b {
-            return Err(WireError::BadValue("pair"));
+            return Err(CodecError::BadValue("pair"));
         }
         set.insert(a, b);
     }
@@ -278,8 +164,8 @@ fn put_lhs_levels(out: &mut Vec<u8>, levels: &[(RelId, AttrSet)]) {
     }
 }
 
-fn read_lhs_levels(r: &mut Reader<'_>) -> Result<Vec<(RelId, AttrSet)>, WireError> {
-    let n = r.len(20)?;
+fn read_lhs_levels(r: &mut Reader<'_>) -> Result<Vec<(RelId, AttrSet)>, CodecError> {
+    let n = r.count_u64(20)?;
     let mut levels = Vec::with_capacity(n);
     for _ in 0..n {
         let rel = RelId(r.u32()?);
@@ -311,7 +197,7 @@ pub(crate) fn put_target(out: &mut Vec<u8>, t: &PartitionTarget) {
     }
 }
 
-pub(crate) fn read_target(r: &mut Reader<'_>) -> Result<PartitionTarget, WireError> {
+pub(crate) fn read_target(r: &mut Reader<'_>) -> Result<PartitionTarget, CodecError> {
     let origin = RelId(r.u32()?);
     let rhs = r.usize()?;
     let lhs_levels = read_lhs_levels(r)?;
@@ -319,14 +205,14 @@ pub(crate) fn read_target(r: &mut Reader<'_>) -> Result<PartitionTarget, WireErr
     let key_target = match r.u8()? {
         0 => None,
         1 => Some(read_pairs(r)?),
-        _ => return Err(WireError::BadTag("key target")),
+        _ => return Err(CodecError::BadTag("key target")),
     };
-    let n_fd = r.len(16)?;
+    let n_fd = r.count_u64(16)?;
     let mut satisfied_fd = Vec::with_capacity(n_fd);
     for _ in 0..n_fd {
         satisfied_fd.push(attrset_from_bits(r.u128()?));
     }
-    let n_key = r.len(16)?;
+    let n_key = r.count_u64(16)?;
     let mut satisfied_key = Vec::with_capacity(n_key);
     for _ in 0..n_key {
         satisfied_key.push(attrset_from_bits(r.u128()?));
@@ -358,7 +244,7 @@ fn put_run_stats(out: &mut Vec<u8>, s: &RunStats) {
     put_usize(out, s.summary_hits);
 }
 
-fn read_run_stats(r: &mut Reader<'_>) -> Result<RunStats, WireError> {
+fn read_run_stats(r: &mut Reader<'_>) -> Result<RunStats, CodecError> {
     Ok(RunStats {
         nodes_visited: r.usize()?,
         nodes_key_skipped: r.usize()?,
@@ -413,22 +299,22 @@ pub(crate) fn encode_output(out: &RelationOutput) -> Vec<u8> {
 }
 
 /// Decode a relation-pass output encoded by [`encode_output`].
-pub(crate) fn decode_output(bytes: &[u8]) -> Result<RelationOutput, WireError> {
+pub(crate) fn decode_output(bytes: &[u8]) -> Result<RelationOutput, CodecError> {
     let mut r = Reader::new(bytes);
     let rel = RelId(r.u32()?);
-    let n_fds = r.len(24)?;
+    let n_fds = r.count_u64(24)?;
     let mut fds = Vec::with_capacity(n_fds);
     for _ in 0..n_fds {
         let lhs = attrset_from_bits(r.u128()?);
         let rhs = r.usize()?;
         fds.push(IntraFd { lhs, rhs });
     }
-    let n_keys = r.len(16)?;
+    let n_keys = r.count_u64(16)?;
     let mut keys = Vec::with_capacity(n_keys);
     for _ in 0..n_keys {
         keys.push(attrset_from_bits(r.u128()?));
     }
-    let n_inter_fds = r.len(20)?;
+    let n_inter_fds = r.count_u64(20)?;
     let mut inter_fds = Vec::with_capacity(n_inter_fds);
     for _ in 0..n_inter_fds {
         let origin = RelId(r.u32()?);
@@ -440,7 +326,7 @@ pub(crate) fn decode_output(bytes: &[u8]) -> Result<RelationOutput, WireError> {
             lhs_levels,
         });
     }
-    let n_inter_keys = r.len(12)?;
+    let n_inter_keys = r.count_u64(12)?;
     let mut inter_keys = Vec::with_capacity(n_inter_keys);
     for _ in 0..n_inter_keys {
         let origin = RelId(r.u32()?);
@@ -454,7 +340,7 @@ pub(crate) fn decode_output(bytes: &[u8]) -> Result<RelationOutput, WireError> {
         dropped_impossible: r.usize()?,
         dropped_overflow: r.usize()?,
     };
-    let n_outgoing = r.len(20)?;
+    let n_outgoing = r.count_u64(20)?;
     let mut outgoing = Vec::with_capacity(n_outgoing);
     for _ in 0..n_outgoing {
         outgoing.push(read_target(&mut r)?);
@@ -473,10 +359,12 @@ pub(crate) fn decode_output(bytes: &[u8]) -> Result<RelationOutput, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xfd_hash::codec::check_garbled;
+    use xfd_hash::{digest_bytes, format_digest};
 
-    #[test]
-    fn config_roundtrips() {
-        let configs = [
+    /// The two configurations every config test round-trips.
+    fn configs() -> [DiscoveryConfig; 2] {
+        [
             DiscoveryConfig::default(),
             DiscoveryConfig {
                 encode: xfd_relation::EncodeConfig {
@@ -499,33 +387,17 @@ mod tests {
                 cache_budget: Some(1 << 20),
                 error_only_kernel: false,
             },
-        ];
-        for config in &configs {
-            let bytes = encode_config(config);
-            let back = decode_config(&bytes).expect("round-trip");
-            assert_eq!(format!("{config:?}"), format!("{back:?}"));
-            // Every strict prefix errors; none panics.
-            for cut in 0..bytes.len() {
-                assert!(decode_config(&bytes[..cut]).is_err(), "prefix {cut}");
-            }
-        }
-        assert!(decode_config(&[]).is_err());
-        let mut trailing = encode_config(&DiscoveryConfig::default());
-        trailing.push(0);
-        assert_eq!(
-            decode_config(&trailing).err(),
-            Some(WireError::TrailingBytes)
-        );
+        ]
     }
 
-    #[test]
-    fn output_roundtrips_and_rejects_corruption() {
+    /// One relation-pass output touching every field of the layout.
+    fn output_fixture() -> RelationOutput {
         let mut fd_target = PairSet::new();
         fd_target.insert(3, 1);
         fd_target.insert(2, 7);
         let mut key_target = PairSet::new();
         key_target.insert(0, 9);
-        let out = RelationOutput {
+        RelationOutput {
             local: RelationDiscovery {
                 rel: RelId(2),
                 fds: vec![IntraFd {
@@ -573,7 +445,62 @@ mod tests {
                 satisfied_fd: vec![AttrSet::single(4)],
                 satisfied_key: vec![],
             }],
-        };
+        }
+    }
+
+    /// The task that ships the fixture's targets down to a worker.
+    fn task_fixture() -> crate::memo::WaveTask {
+        crate::memo::WaveTask {
+            rel: RelId(1),
+            key: 0xfeed_beef,
+            incoming: output_fixture().outgoing,
+        }
+    }
+
+    #[test]
+    fn encodings_are_pinned() {
+        // Cluster peers exchange these bytes, and `PROTOCOL_VERSION` pins
+        // their layout: a codec change that moves a byte must bump it.
+        let [default, custom] = configs();
+        let digests: Vec<String> = [
+            encode_config(&default),
+            encode_config(&custom),
+            encode_output(&output_fixture()),
+            task_fixture().encode_bytes(),
+        ]
+        .iter()
+        .map(|b| format_digest(digest_bytes(b)))
+        .collect();
+        assert_eq!(
+            digests,
+            [
+                "5cdf51b4d89e1a66ebe92fbd4de46165",
+                "ede0de3c5934796a080f0aebc19fb381",
+                "f399caae700c032c8cdea210d1520eb3",
+                "fc21929b74cb607011c4d7e0ab00c657",
+            ]
+        );
+    }
+
+    #[test]
+    fn config_roundtrips() {
+        for config in &configs() {
+            let bytes = encode_config(config);
+            let back = decode_config(&bytes).expect("round-trip");
+            assert_eq!(format!("{config:?}"), format!("{back:?}"));
+            assert_eq!(check_garbled(&bytes, decode_config), Ok(()));
+        }
+        let mut trailing = encode_config(&DiscoveryConfig::default());
+        trailing.push(0);
+        assert_eq!(
+            decode_config(&trailing).err(),
+            Some(CodecError::TrailingBytes)
+        );
+    }
+
+    #[test]
+    fn output_roundtrips_and_rejects_corruption() {
+        let out = output_fixture();
         let bytes = encode_output(&out);
         let back = decode_output(&bytes).expect("round-trip");
         assert_eq!(back.local.rel, out.local.rel);
@@ -592,33 +519,16 @@ mod tests {
         // Re-encoding the decoded output is byte-identical (PairSet
         // normalization happened on the first encode already).
         assert_eq!(encode_output(&back), bytes);
-        // Every strict prefix errors; none panics.
-        for cut in 0..bytes.len() {
-            assert!(decode_output(&bytes[..cut]).is_err(), "prefix {cut}");
-        }
-        // Single-byte corruption never panics.
-        for i in 0..bytes.len() {
-            let mut dirty = bytes.clone();
-            dirty[i] ^= 0xff;
-            let _ = decode_output(&dirty);
-        }
+        assert_eq!(check_garbled(&bytes, decode_output), Ok(()));
 
-        // The task that ships the same target down to a worker: same
-        // guarantees.
-        let task = crate::memo::WaveTask {
-            rel: RelId(1),
-            key: 0xfeed_beef,
-            incoming: out.outgoing.clone(),
-        };
+        let task = task_fixture();
         let bytes = task.encode_bytes();
         let back = crate::memo::WaveTask::decode_bytes(&bytes).expect("task round-trip");
         assert_eq!((back.rel, back.key), (task.rel, task.key));
         assert_eq!(back.encode_bytes(), bytes);
-        for cut in 0..bytes.len() {
-            assert!(
-                crate::memo::WaveTask::decode_bytes(&bytes[..cut]).is_err(),
-                "task prefix {cut}"
-            );
-        }
+        assert_eq!(
+            check_garbled(&bytes, crate::memo::WaveTask::decode_bytes),
+            Ok(())
+        );
     }
 }

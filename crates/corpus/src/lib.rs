@@ -44,7 +44,8 @@ use std::time::{Duration, Instant};
 
 use discoverxfd::memo::{PassRunner, RelationMemo, RelationProgress};
 use discoverxfd::{discover_prepared_with, DiscoveryConfig, RunOutcome};
-use xfd_relation::treetuple::{decode_tree, encode_tree, DecodeError};
+use xfd_hash::codec::CodecError;
+use xfd_relation::treetuple::{decode_tree, encode_tree};
 use xfd_relation::{build_partials, Forest, ForestMerge, SegmentPartial};
 use xfd_schema::{infer_schema_from_summaries, summarize, Schema, SchemaMap, SchemaSummary};
 use xfd_xml::DataTree;
@@ -68,7 +69,7 @@ pub enum CorpusError {
     /// whose bytes no longer match their manifest digest).
     Corrupt(String),
     /// A segment failed to decode.
-    Decode(DecodeError),
+    Decode(CodecError),
     /// The in-memory handle was abandoned after a panic mid-operation
     /// (e.g. a poisoned server-side lock); durable state is intact and the
     /// corpus reopens from the manifest + WAL on the next request.

@@ -18,10 +18,10 @@
 //! Every mutation follows *segment → WAL → manifest*:
 //!
 //! 1. the segment file is fully written and fsynced (adds only);
-//! 2. a WAL record is appended and fsynced — `[u32 LE length][payload]
-//!    [16-byte LE checksum]`, the checksum being the shared dual-lane
-//!    FNV-1a digest of the payload, the same 128-bit lane the manifest
-//!    uses for segment digests;
+//! 2. a WAL record is appended and fsynced — an [`xfd_hash::codec`]
+//!    record, `[u32 LE length][payload][16-byte LE checksum]`, the checksum
+//!    being the shared dual-lane FNV-1a digest of the payload, the same
+//!    128-bit lane the manifest uses for segment digests;
 //! 3. the manifest is atomically rewritten and the WAL truncated.
 //!
 //! Replay-on-open applies every complete, checksum-verified record in
@@ -36,13 +36,11 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
+use xfd_hash::codec::{put_record, CodecError, Reader};
 use xfd_hash::{digest_bytes, format_digest, parse_digest};
 
 /// Magic first line of a manifest.
 const MANIFEST_HEADER: &str = "xfdcorpus v1";
-/// Largest WAL payload replay will consider sane (a record holds one
-/// mutation line, nowhere near this).
-const MAX_WAL_PAYLOAD: usize = 1 << 20;
 
 /// One committed document: its name, segment id and segment digest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +148,12 @@ impl WalRecord {
             }
             _ => None,
         }
+    }
+
+    /// Read the next record of a WAL: its digest-checked payload, parsed.
+    fn read(r: &mut Reader<'_>) -> Result<WalRecord, CodecError> {
+        let payload = std::str::from_utf8(r.record()?).map_err(|_| CodecError::BadUtf8)?;
+        WalRecord::parse(payload).ok_or(CodecError::BadValue("WAL record"))
     }
 }
 
@@ -264,9 +268,7 @@ impl StoreDir {
             .append(true)
             .open(self.wal_path())?;
         let mut frame = Vec::with_capacity(payload.len() + 20);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload.as_bytes());
-        frame.extend_from_slice(&digest_bytes(payload.as_bytes()).to_le_bytes());
+        put_record(&mut frame, payload.as_bytes());
         f.write_all(&frame)?;
         f.sync_all()?;
         Ok(())
@@ -362,34 +364,10 @@ impl StoreDir {
         if bytes.is_empty() {
             return Ok(false);
         }
-        let mut pos = 0usize;
-        // Every short or out-of-range read below is the torn tail a crash
-        // mid-append leaves behind: stop replaying, keep what is already
-        // applied.
-        while let Some(header) = bytes
-            .get(pos..pos + 4)
-            .and_then(|b| <[u8; 4]>::try_from(b).ok())
-        {
-            let len = u32::from_le_bytes(header) as usize;
-            if len > MAX_WAL_PAYLOAD {
-                break;
-            }
-            let Some(payload) = bytes.get(pos + 4..pos + 4 + len) else {
-                break;
-            };
-            let Some(checksum) = bytes
-                .get(pos + 4 + len..pos + 20 + len)
-                .and_then(|b| <[u8; 16]>::try_from(b).ok())
-                .map(u128::from_le_bytes)
-            else {
-                break;
-            };
-            if digest_bytes(payload) != checksum {
-                break; // torn or corrupted record
-            }
-            let Some(record) = std::str::from_utf8(payload).ok().and_then(WalRecord::parse) else {
-                break;
-            };
+        // A record that fails to read is the torn tail a crash mid-append
+        // leaves behind: stop replaying, keep what is already applied.
+        let mut r = Reader::new(&bytes);
+        while let Ok(record) = WalRecord::read(&mut r) {
             match record {
                 WalRecord::Add(meta) => {
                     // The protocol wrote and fsynced the segment before this
@@ -434,7 +412,6 @@ impl StoreDir {
                     *docs = metas;
                 }
             }
-            pos += 20 + len;
         }
         Ok(true)
     }
@@ -521,6 +498,7 @@ pub fn digest_file(path: &Path) -> io::Result<u128> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xfd_hash::codec::check_garbled;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -560,6 +538,50 @@ mod tests {
         assert_eq!(WalRecord::parse("rm"), None);
         assert_eq!(WalRecord::parse("compact x"), None);
         assert_eq!(WalRecord::parse("compact 2\n0 0 3 00 a"), None);
+    }
+
+    #[test]
+    fn wal_bytes_are_pinned() {
+        // Stored corpora hold these bytes; replay must keep reading them.
+        let dir = tmp_dir("pinned");
+        let store = StoreDir::init(&dir).unwrap();
+        store
+            .append_wal(&WalRecord::Add(meta("orders-3", 7, b"abc")))
+            .unwrap();
+        store
+            .append_wal(&WalRecord::Remove("orders-3".into()))
+            .unwrap();
+        store
+            .append_wal(&WalRecord::Compact(vec![
+                part("a", 4, 0, b"one"),
+                part("b", 4, 3, b"two"),
+            ]))
+            .unwrap();
+        let wal = fs::read(store.wal_path()).unwrap();
+        assert_eq!(
+            format_digest(digest_bytes(&wal)),
+            "dc654363cd4061d27d381a0003570069"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wal_records_pass_the_garble_check() {
+        let decode = |b: &[u8]| {
+            let mut r = Reader::new(b);
+            let record = WalRecord::read(&mut r)?;
+            r.finish().map(|()| record)
+        };
+        for record in [
+            WalRecord::Add(meta("orders-3", 7, b"abc")),
+            WalRecord::Remove("orders-3".into()),
+            WalRecord::Compact(vec![part("a", 4, 0, b"one"), part("b", 4, 3, b"two")]),
+        ] {
+            let mut bytes = Vec::new();
+            put_record(&mut bytes, record.payload().as_bytes());
+            assert_eq!(decode(&bytes), Ok(record));
+            assert_eq!(check_garbled(&bytes, decode), Ok(()));
+        }
     }
 
     #[test]

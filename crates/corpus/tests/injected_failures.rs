@@ -8,8 +8,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use xfd_corpus::{CorpusError, CorpusStore};
+use xfd_hash::codec::CodecError;
 use xfd_hash::{digest_bytes, format_digest};
-use xfd_relation::treetuple::DecodeError;
 use xfd_xml::parse;
 
 fn tmp(tag: &str) -> PathBuf {
@@ -84,7 +84,7 @@ fn torn_tuple_block_with_matching_digest_is_a_typed_decode_error() {
     .unwrap();
 
     match CorpusStore::new(&root).open("c") {
-        Err(CorpusError::Decode(DecodeError::Truncated)) => {}
+        Err(CorpusError::Decode(CodecError::Truncated)) => {}
         Err(other) => panic!("expected Decode(Truncated), got {other:?}"),
         Ok(_) => panic!("torn corpus opened cleanly"),
     }

@@ -11,7 +11,12 @@
 //! construction: one rotate, one xor and one multiply per word, fully
 //! deterministic across runs and platforms (important for reproducible
 //! discovery statistics and stable shard assignment).
+//!
+//! Beside it: [`content`] and [`word`], the 128-bit digests that address
+//! stored and cached content, and [`codec`], the byte-format layer every
+//! stored or shipped block is written and read with.
 
+pub mod codec;
 pub mod content;
 pub mod word;
 

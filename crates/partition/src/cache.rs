@@ -262,43 +262,14 @@ impl PartitionCache {
         self.get(attrs).map(Partition::error)
     }
 
-    /// Run the error-only kernel on `Π_a · Π_b` and file the exact outcome
-    /// in the summary tier. An early exit ([`ErrorOnlyProduct::BelowBound`])
-    /// stores nothing: the result is a proof about the *bound*, not a
-    /// reusable digest.
-    ///
-    /// # Panics
-    /// Panics if `Π_a` or `Π_b` is not already cached in the full tier.
-    pub fn product_summary(
-        &mut self,
-        a: AttrSet,
-        b: AttrSet,
-        bound: Option<usize>,
-    ) -> ErrorOnlyProduct {
-        let target = a.union(b);
-        // Move the scratch out so the operand borrows (into the shard
-        // maps) and the scratch borrow don't alias through `self`.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let pa = self.get(a).expect("operand partition must be cached");
-        let pb = self.get(b).expect("operand partition must be cached");
-        let outcome = pa.product_error_in(pb, &mut scratch, bound);
-        self.scratch = scratch;
-        self.stats.products += 1;
-        self.stats.products_error_only += 1;
-        match outcome {
-            ErrorOnlyProduct::Exact(s) => self.insert_summary(target, s),
-            ErrorOnlyProduct::BelowBound => self.stats.early_exits += 1,
-        }
-        outcome
-    }
-
     /// Error-only summary of `Π_{parent ∪ {attr}}` by refining the resident
-    /// `Π_parent` through the cached base map of `attr` — the fast path of
-    /// the tiered kernel. Unlike [`Self::product_summary`] there is no probe
-    /// table to fill or reset per call: the base lookup is built once per
-    /// attribute (O(n), amortized) and the product costs only a scan of the
-    /// parent's stripped tuples, stopping early under `bound`. Outcomes are
-    /// filed exactly like `product_summary`.
+    /// `Π_parent` through the cached base map of `attr` — the tiered
+    /// kernel. The base lookup is built once per attribute (O(n),
+    /// amortized) and the product costs only a scan of the parent's
+    /// stripped tuples, stopping early under `bound`. An exact outcome is
+    /// filed in the summary tier; an early exit
+    /// ([`ErrorOnlyProduct::BelowBound`]) stores nothing: the result is a
+    /// proof about the *bound*, not a reusable digest.
     ///
     /// # Panics
     /// Panics if `Π_parent` or the base `Π_{attr}` is not cached.
@@ -523,7 +494,7 @@ mod tests {
             Partition::from_column(&[Some(1), Some(2), Some(1), Some(1)]),
         );
         let ab = a.union(b);
-        let outcome = c.product_summary(a, b, None);
+        let outcome = c.product_summary_base(a, 1, None);
         let expected = c.get(a).unwrap().product(c.get(b).unwrap()).summary();
         assert_eq!(outcome, ErrorOnlyProduct::Exact(expected));
         assert!(c.get(ab).is_none(), "no CSR partition was built");
@@ -557,12 +528,12 @@ mod tests {
             b,
             Partition::from_column(&[Some(1), Some(1), Some(1), Some(2), Some(2), Some(2)]),
         );
-        let outcome = c.product_summary(a, b, Some(5));
+        let outcome = c.product_summary_base(a, 1, Some(5));
         assert_eq!(outcome, ErrorOnlyProduct::BelowBound);
         assert_eq!(c.summary_of(a.union(b)), None);
         assert_eq!(c.stats().early_exits, 1);
         // Eviction drops stale summaries without counting them.
-        let exact = c.product_summary(a, b, None);
+        let exact = c.product_summary_base(a, 1, None);
         assert!(matches!(exact, ErrorOnlyProduct::Exact(_)));
         let resident = c.resident_bytes();
         c.evict_below(2);

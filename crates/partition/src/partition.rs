@@ -379,117 +379,33 @@ impl Partition {
         }
     }
 
-    /// Error-only product kernel: the [`PartitionSummary`] of
-    /// `Π_self · Π_other` with **zero** allocations in steady state — no
-    /// `out_tuples` staging, no result arrays, no descriptor sort. Only the
-    /// probe table and per-bucket counters are touched.
+    /// Error-only refinement kernel: the [`PartitionSummary`] of
+    /// `Π_self · Π_base`, where `base` indexes the base partition of one
+    /// attribute, with **zero** allocations in steady state — no result
+    /// arrays, no descriptor sort, only per-bucket counters. The map is
+    /// built once per attribute and amortized over every product that
+    /// refines through it, so the cost is `O(|stripped(self)|)` flat.
     ///
-    /// With `bound = Some(m)` the kernel may stop early: the operand with
-    /// the smaller error is scanned group by group, maintaining
+    /// Scanning `self` suffices: every product group of size ≥ 2 lies
+    /// inside a stripped group of each operand, so tuples outside `self`'s
+    /// stripped groups are product singletons and contribute nothing.
+    ///
+    /// With `bound = Some(m)` the kernel may stop early. Scanning `self`
+    /// group by group, it maintains
     ///
     /// * `error` — the product error contributed by scanned groups (a lower
     ///   bound on the final error, since contributions are non-negative);
     /// * `deficit` — the error the scanned groups have already lost
-    ///   relative to the scan operand (`Σ (|g|−1) − contribution`), so
-    ///   `scan.error − deficit` is an upper bound on the final error
+    ///   relative to `self` (`Σ (|g|−1) − contribution`), so
+    ///   `self.error − deficit` is an upper bound on the final error
     ///   (unscanned groups can only lose more).
     ///
-    /// As soon as `error > 0` and `scan.error − deficit < m`, the final
+    /// As soon as `error > 0` and `self.error − deficit < m`, the final
     /// error is provably in `1..m`: the node is not a key and every
     /// candidate FD with `e(Π_lhs) ≥ m` fails, so the scan returns
     /// [`ErrorOnlyProduct::BelowBound`] without visiting the remaining
     /// groups. A bound of 0 never triggers (errors are non-negative), so
     /// key detection always gets an exact summary.
-    pub fn product_error_in(
-        &self,
-        other: &Partition,
-        scratch: &mut ProductScratch,
-        bound: Option<usize>,
-    ) -> ErrorOnlyProduct {
-        debug_assert_eq!(self.n_tuples, other.n_tuples);
-        // Scan the smaller-error operand: its error caps the deficit, so
-        // the early exit fires after fewer groups.
-        let (scan, probe_side) = if other.error < self.error {
-            (other, self)
-        } else {
-            (self, other)
-        };
-        let probe = &mut scratch.probe;
-        if probe.len() < probe_side.n_tuples {
-            probe.resize(probe_side.n_tuples, u32::MAX);
-        }
-        for (i, g) in probe_side.groups().enumerate() {
-            for &t in g {
-                probe[t as usize] = i as u32;
-            }
-        }
-        if scratch.bucket_spans.len() < probe_side.n_groups() {
-            scratch.bucket_spans.resize(probe_side.n_groups(), (0, 0));
-        }
-        let mut error = 0usize;
-        let mut deficit = 0usize;
-        let mut n_groups = 0u32;
-        let mut max_group = 0u32;
-        let mut exited = false;
-        for g in scan.groups() {
-            for &t in g {
-                let i = probe[t as usize];
-                if i != u32::MAX {
-                    let span = &mut scratch.bucket_spans[i as usize];
-                    if span.1 == 0 {
-                        scratch.touched.push(i);
-                    }
-                    span.1 += 1;
-                }
-            }
-            let mut contribution = 0usize;
-            for &i in &scratch.touched {
-                let len = scratch.bucket_spans[i as usize].1;
-                if len >= 2 {
-                    contribution += (len - 1) as usize;
-                    n_groups += 1;
-                    max_group = max_group.max(len);
-                }
-                scratch.bucket_spans[i as usize] = (0, 0);
-            }
-            scratch.touched.clear();
-            error += contribution;
-            deficit += (g.len() - 1) - contribution;
-            if let Some(m) = bound {
-                if error > 0 && scan.error - deficit < m {
-                    exited = true;
-                    break;
-                }
-            }
-        }
-        // Reset only the probe entries this product wrote.
-        for &t in &probe_side.tuples {
-            probe[t as usize] = u32::MAX;
-        }
-        if exited {
-            ErrorOnlyProduct::BelowBound
-        } else {
-            ErrorOnlyProduct::Exact(PartitionSummary {
-                error,
-                n_groups,
-                max_group,
-            })
-        }
-    }
-
-    /// Error-only refinement kernel against a *prebuilt* [`GroupMap`]:
-    /// the summary of `Π_self · Π_base`, where `base` indexes the base
-    /// partition of one attribute. Unlike [`Partition::product_error_in`]
-    /// there is no probe table to fill or reset — the map is built once per
-    /// attribute and amortized over every product that refines through it —
-    /// so the cost is `O(|stripped(self)|)` flat, and an early exit really
-    /// does stop after a prefix of the scan.
-    ///
-    /// Correct for the same reason scanning one operand suffices in the
-    /// probing kernel: every product group of size ≥ 2 lies inside a
-    /// stripped group of *each* operand, so tuples outside `self`'s
-    /// stripped groups are product singletons and contribute nothing.
-    /// The `bound` semantics are identical to `product_error_in`.
     pub fn error_refine_in(
         &self,
         base: &GroupMap,
@@ -566,7 +482,7 @@ impl PartitionSummary {
     }
 }
 
-/// Result of [`Partition::product_error_in`].
+/// Result of [`Partition::error_refine_in`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorOnlyProduct {
     /// The scan ran to completion: the product's exact summary.
@@ -872,7 +788,7 @@ mod tests {
         for a in &parts {
             for b in &parts {
                 let full = a.product_in(b, &mut scratch);
-                let got = a.product_error_in(b, &mut scratch, None);
+                let got = a.error_refine_in(&GroupMap::new(b), &mut scratch, None);
                 assert_eq!(got, ErrorOnlyProduct::Exact(full.summary()));
             }
         }
@@ -886,7 +802,7 @@ mod tests {
         let true_error = x.product(&a).error(); // 4
         let mut scratch = ProductScratch::new();
         for bound in 0..=x.error() + 1 {
-            let got = x.product_error_in(&a, &mut scratch, Some(bound));
+            let got = x.error_refine_in(&GroupMap::new(&a), &mut scratch, Some(bound));
             if true_error < bound {
                 assert_eq!(got, ErrorOnlyProduct::BelowBound, "bound {bound}");
             } else {
@@ -900,7 +816,7 @@ mod tests {
         // A key product never exits early, whatever the bound: the exit
         // requires error > 0.
         let key_side = col(&[Some(1), Some(2), Some(3), Some(4), Some(5), Some(6)]);
-        let got = x.product_error_in(&key_side, &mut scratch, Some(usize::MAX));
+        let got = x.error_refine_in(&GroupMap::new(&key_side), &mut scratch, Some(usize::MAX));
         assert_eq!(got, ErrorOnlyProduct::Exact(x.product(&key_side).summary()));
         assert!(x.product(&key_side).is_key());
     }

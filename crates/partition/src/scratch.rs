@@ -8,7 +8,7 @@
 //! capacity between calls, so a lattice traversal that computes thousands
 //! of products allocates only the two CSR arrays of each *result* —
 //! everything else is reused (and the error-only kernel
-//! [`Partition::product_error_in`](crate::Partition::product_error_in)
+//! [`Partition::error_refine_in`](crate::Partition::error_refine_in)
 //! allocates nothing at all in steady state). One scratch per worker
 //! thread; scratches are never shared.
 //!
@@ -85,7 +85,7 @@ impl ProductScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::Partition;
+    use crate::partition::{GroupMap, Partition};
 
     #[test]
     fn probe_invariant_holds_after_products() {
@@ -105,7 +105,7 @@ mod tests {
         let b = Partition::from_column(&[Some(1), Some(2), Some(1), Some(2), Some(1), Some(2)]);
         let _ = a.product_in(&b, &mut scratch);
         assert!(scratch.bucket_spans.iter().all(|&s| s == (0, 0)));
-        let _ = a.product_error_in(&b, &mut scratch, None);
+        let _ = a.error_refine_in(&GroupMap::new(&b), &mut scratch, None);
         assert!(scratch.bucket_spans.iter().all(|&s| s == (0, 0)));
         assert!(scratch.probe.iter().all(|&x| x == u32::MAX));
     }

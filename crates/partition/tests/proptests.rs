@@ -151,55 +151,11 @@ proptest! {
         prop_assert_eq!(acc, Partition::from_column(&combined));
     }
 
-    /// Kernel parity: the error-only product reports exactly the error,
-    /// group count and widest group of the materialized product — including
+    /// Kernel parity: the base-map refinement kernel reports exactly the
+    /// error, group count and widest group of the materialized product
+    /// without a bound, and for every possible bound returns `BelowBound`
+    /// exactly when the true product error is in `1..bound` — including
     /// empty and stripped-to-empty operands.
-    #[test]
-    fn error_only_kernel_matches_materialized(a in column(), b in column()) {
-        let n = a.len().min(b.len());
-        let pa = Partition::from_column(&a[..n]);
-        let pb = Partition::from_column(&b[..n]);
-        let mut scratch = ProductScratch::new();
-        let full = pa.product_in(&pb, &mut scratch);
-        prop_assert_eq!(
-            pa.product_error_in(&pb, &mut scratch, None),
-            ErrorOnlyProduct::Exact(full.summary())
-        );
-        // Symmetric call: scan-side selection never changes the summary.
-        prop_assert_eq!(
-            pb.product_error_in(&pa, &mut scratch, None),
-            ErrorOnlyProduct::Exact(full.summary())
-        );
-    }
-
-    /// Early-exit soundness against every possible bound: `BelowBound` is
-    /// returned exactly when the true product error is in `1..bound`, and
-    /// an exact summary otherwise.
-    #[test]
-    fn error_only_kernel_early_exit_is_exact(a in column(), b in column()) {
-        let n = a.len().min(b.len());
-        let pa = Partition::from_column(&a[..n]);
-        let pb = Partition::from_column(&b[..n]);
-        let mut scratch = ProductScratch::new();
-        let full = pa.product_in(&pb, &mut scratch);
-        let true_error = full.error();
-        for bound in 0..=pa.error().min(pb.error()) + 1 {
-            let got = pa.product_error_in(&pb, &mut scratch, Some(bound));
-            if true_error > 0 && true_error < bound {
-                prop_assert_eq!(got, ErrorOnlyProduct::BelowBound, "bound {}", bound);
-            } else {
-                prop_assert_eq!(
-                    got,
-                    ErrorOnlyProduct::Exact(full.summary()),
-                    "bound {}", bound
-                );
-            }
-        }
-    }
-
-    /// The base-map refinement kernel is a drop-in for the probing kernel:
-    /// identical exact summaries without a bound, and identical early-exit
-    /// verdicts for every possible bound — including empty operands.
     #[test]
     fn refine_kernel_matches_probing_kernel(a in column(), b in column()) {
         let n = a.len().min(b.len());

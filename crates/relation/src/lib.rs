@@ -38,5 +38,5 @@ pub use shard::{
     build_partial, build_partials, decode_partial, encode_collection, encode_partial,
     forest_fingerprint, merge_partials, ForestMerge, SegmentPartial, PARTIAL_MAGIC,
 };
-pub use treetuple::{decode_tree, encode_tree, trees_equal, DecodeError};
+pub use treetuple::{decode_tree, encode_tree, trees_equal};
 pub use xfd_xml::OrderMode;

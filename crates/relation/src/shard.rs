@@ -31,6 +31,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use xfd_hash::codec::{put_bytes, put_u32, put_u64, CodecError, Reader};
 use xfd_schema::{Schema, SchemaMap};
 use xfd_xml::{preorder_of, DataTree, EqClasses, NodeId, ShapeCons, ValueClassId};
 
@@ -40,7 +41,6 @@ use crate::encode::{
 };
 use crate::relation::{ColumnKind, Forest, RelId, Relation};
 use crate::setvalue::add_set_columns;
-use crate::treetuple::DecodeError;
 
 /// One document's contribution to the collection forest, expressed in
 /// segment-local coordinates: node keys and `NodeKey` cells are pre-order
@@ -554,54 +554,51 @@ pub fn encode_partial(part: &SegmentPartial) -> Vec<u8> {
     );
     let mut out = Vec::with_capacity(64 + part.approx_bytes() / 2);
     out.extend_from_slice(&PARTIAL_MAGIC);
-    out.extend_from_slice(&(part.node_count as u64).to_le_bytes());
-    out.extend_from_slice(&(part.dictionary.num_strings() as u32).to_le_bytes());
+    put_u64(&mut out, part.node_count as u64);
+    put_u32(&mut out, part.dictionary.num_strings() as u32);
     for id in 0..part.dictionary.num_strings() as u64 {
-        let s = part.dictionary.resolve_str(id);
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
+        put_bytes(&mut out, part.dictionary.resolve_str(id).as_bytes());
     }
     match &part.shapes {
         None => out.push(0),
         Some(shapes) => {
             out.push(1);
-            out.extend_from_slice(&(shapes.num_strings() as u32).to_le_bytes());
+            put_u32(&mut out, shapes.num_strings() as u32);
             for s in shapes.strings() {
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
+                put_bytes(&mut out, s.as_bytes());
             }
-            out.extend_from_slice(&(shapes.len() as u32).to_le_bytes());
+            put_u32(&mut out, shapes.len() as u32);
             for shape in shapes.shapes() {
-                out.extend_from_slice(&shape.label.to_le_bytes());
-                out.extend_from_slice(&shape.value.unwrap_or(NO_STRING).to_le_bytes());
-                out.extend_from_slice(&(shape.children.len() as u32).to_le_bytes());
+                put_u32(&mut out, shape.label);
+                put_u32(&mut out, shape.value.unwrap_or(NO_STRING));
+                put_u32(&mut out, shape.children.len() as u32);
                 for &c in shape.children {
-                    out.extend_from_slice(&c.to_le_bytes());
+                    put_u32(&mut out, c);
                 }
             }
         }
     }
-    out.extend_from_slice(&(part.relations.len() as u32).to_le_bytes());
+    put_u32(&mut out, part.relations.len() as u32);
     for rel in &part.relations {
-        out.extend_from_slice(&(rel.node_keys.len() as u32).to_le_bytes());
+        put_u32(&mut out, rel.node_keys.len() as u32);
         for k in &rel.node_keys {
-            out.extend_from_slice(&k.0.to_le_bytes());
+            put_u32(&mut out, k.0);
         }
-        out.extend_from_slice(&(rel.parent_of.len() as u32).to_le_bytes());
+        put_u32(&mut out, rel.parent_of.len() as u32);
         for &p in &rel.parent_of {
-            out.extend_from_slice(&p.to_le_bytes());
+            put_u32(&mut out, p);
         }
-        out.extend_from_slice(&(rel.columns.len() as u32).to_le_bytes());
+        put_u32(&mut out, rel.columns.len() as u32);
         for col in &rel.columns {
             for cell in &col.cells {
-                out.extend_from_slice(&cell.unwrap_or(NONE_CELL).to_le_bytes());
+                put_u64(&mut out, cell.unwrap_or(NONE_CELL));
             }
         }
     }
     // One local class per tuple, relation by relation, when classes exist.
     for classes in &part.tuple_class {
         for &c in classes {
-            out.extend_from_slice(&c.to_le_bytes());
+            put_u32(&mut out, c);
         }
     }
     out
@@ -615,128 +612,107 @@ pub fn decode_partial(
     bytes: &[u8],
     map: &SchemaMap,
     config: &EncodeConfig,
-) -> Result<SegmentPartial, DecodeError> {
-    use crate::treetuple::Cursor;
-    let mut c = Cursor::new(bytes);
-    if c.take(4)? != PARTIAL_MAGIC {
-        return Err(DecodeError::BadMagic);
+) -> Result<SegmentPartial, CodecError> {
+    let mut r = Reader::new(bytes);
+    if r.take(4)? != PARTIAL_MAGIC {
+        return Err(CodecError::BadMagic);
     }
-    let node_count = c.u64()? as usize;
+    let node_count = r.usize()?;
 
-    let n_strings = c.u32()? as usize;
-    if n_strings > c.remaining() / 4 {
-        return Err(DecodeError::Truncated);
-    }
+    let n_strings = r.count_u32(4)?;
     let mut dictionary = Dictionary::new();
     for i in 0..n_strings {
-        let len = c.u32()? as usize;
-        let s = std::str::from_utf8(c.take(len)?).map_err(|_| DecodeError::BadUtf8)?;
-        if dictionary.intern_str(s) != i as u64 {
-            return Err(DecodeError::BadIndex("duplicate dictionary string"));
+        if dictionary.intern_str(r.str()?) != i as u64 {
+            return Err(CodecError::BadValue("duplicate dictionary string"));
         }
     }
 
-    let shapes = match c.u8()? {
+    let shapes = match r.u8()? {
         0 => None,
         1 => {
-            let n_class_strings = c.u32()? as usize;
-            if n_class_strings > c.remaining() / 4 {
-                return Err(DecodeError::Truncated);
-            }
+            let n_class_strings = r.count_u32(4)?;
             let mut shapes = ShapeCons::new(config.order);
             for i in 0..n_class_strings {
-                let len = c.u32()? as usize;
-                let s = std::str::from_utf8(c.take(len)?).map_err(|_| DecodeError::BadUtf8)?;
-                if shapes.intern_str(s) as usize != i {
-                    return Err(DecodeError::BadIndex("duplicate class string"));
+                if shapes.intern_str(r.str()?) as usize != i {
+                    return Err(CodecError::BadValue("duplicate class string"));
                 }
             }
-            let n_shapes = c.u32()? as usize;
-            if n_shapes > c.remaining() / 12 {
-                return Err(DecodeError::Truncated);
-            }
+            let n_shapes = r.count_u32(12)?;
             let mut children: Vec<u32> = Vec::new();
             for local in 0..n_shapes {
-                let label = c.u32()?;
+                let label = r.u32()?;
                 if label as usize >= n_class_strings {
-                    return Err(DecodeError::BadIndex("shape label"));
+                    return Err(CodecError::BadValue("shape label"));
                 }
-                let value = match c.u32()? {
+                let value = match r.u32()? {
                     NO_STRING => None,
                     v if (v as usize) < n_class_strings => Some(v),
-                    _ => return Err(DecodeError::BadIndex("shape value")),
+                    _ => return Err(CodecError::BadValue("shape value")),
                 };
-                let n_children = c.u32()? as usize;
-                if n_children > c.remaining() / 4 {
-                    return Err(DecodeError::Truncated);
-                }
+                let n_children = r.count_u32(4)?;
                 children.clear();
                 for _ in 0..n_children {
-                    let child = c.u32()?;
+                    let child = r.u32()?;
                     // The merge remaps children through ids already consed,
                     // which is only sound when children precede the shape.
                     if child as usize >= local {
-                        return Err(DecodeError::BadIndex("shape child"));
+                        return Err(CodecError::BadValue("shape child"));
                     }
                     children.push(child);
                 }
                 if shapes.cons(label, value, children.iter().copied()) as usize != local {
-                    return Err(DecodeError::BadIndex("duplicate shape"));
+                    return Err(CodecError::BadValue("duplicate shape"));
                 }
             }
             Some(shapes)
         }
-        _ => return Err(DecodeError::BadIndex("class table flag")),
+        _ => return Err(CodecError::BadValue("class table flag")),
     };
     if shapes.is_some() != need_classes(config) {
-        return Err(DecodeError::BadIndex("class table presence"));
+        return Err(CodecError::BadValue("class table presence"));
     }
     let n_shapes = shapes.as_ref().map_or(0, ShapeCons::len);
 
     let Skeleton { mut relations, .. } = build_skeleton(map, config);
-    let n_rel = c.u32()? as usize;
+    let n_rel = r.u32()? as usize;
     if n_rel != relations.len() {
-        return Err(DecodeError::BadIndex("relation count"));
+        return Err(CodecError::BadValue("relation count"));
     }
-    for r in 0..n_rel {
-        let n_tuples = c.u32()? as usize;
-        if n_tuples > c.remaining() / 4 {
-            return Err(DecodeError::Truncated);
-        }
-        if r == 0 && n_tuples != 1 {
-            return Err(DecodeError::BadIndex("root tuple count"));
+    for i in 0..n_rel {
+        let n_tuples = r.count_u32(4)?;
+        if i == 0 && n_tuples != 1 {
+            return Err(CodecError::BadValue("root tuple count"));
         }
         let mut node_keys = Vec::with_capacity(n_tuples);
         for _ in 0..n_tuples {
-            let k = c.u32()?;
+            let k = r.u32()?;
             if k as usize >= node_count {
-                return Err(DecodeError::BadIndex("node key"));
+                return Err(CodecError::BadValue("node key"));
             }
             node_keys.push(NodeId(k));
         }
         // Every partial relation carries one parent pointer per tuple; the
         // root's is the placeholder 0 (dropped by the merge overlay).
-        let n_parents = c.u32()? as usize;
-        if n_parents != n_tuples {
-            return Err(DecodeError::BadIndex("parent count"));
+        if r.u32()? as usize != n_tuples {
+            return Err(CodecError::BadValue("parent count"));
         }
-        let mut parent_of = Vec::with_capacity(n_parents);
-        for _ in 0..n_parents {
-            parent_of.push(c.u32()?);
+        let mut parent_of = Vec::with_capacity(n_tuples);
+        for _ in 0..n_tuples {
+            parent_of.push(r.u32()?);
         }
-        let n_cols = c.u32()? as usize;
+        let n_cols = r.u32()? as usize;
         let rel = relations
-            .get_mut(r)
-            .ok_or(DecodeError::BadIndex("relation count"))?;
+            .get_mut(i)
+            .ok_or(CodecError::BadValue("relation count"))?;
         if n_cols != rel.columns.len() {
-            return Err(DecodeError::BadIndex("column count"));
+            return Err(CodecError::BadValue("column count"));
         }
         rel.node_keys = node_keys;
         rel.parent_of = parent_of;
         for col in &mut rel.columns {
             let mut cells = Vec::with_capacity(n_tuples);
             for _ in 0..n_tuples {
-                let v = c.u64()?;
+                let v = r.u64()?;
                 if v == NONE_CELL {
                     cells.push(None);
                     continue;
@@ -751,7 +727,7 @@ pub fn decode_partial(
                     ColumnKind::SetValue => 0,
                 };
                 if v >= bound {
-                    return Err(DecodeError::BadIndex("cell value"));
+                    return Err(CodecError::BadValue("cell value"));
                 }
                 cells.push(Some(v));
             }
@@ -761,33 +737,28 @@ pub fn decode_partial(
     let mut tuple_class: Vec<Vec<u32>> = Vec::new();
     if shapes.is_some() {
         for rel in &relations {
-            if rel.n_tuples() > c.remaining() / 4 {
-                return Err(DecodeError::Truncated);
-            }
             let mut classes = Vec::with_capacity(rel.n_tuples());
             for _ in 0..rel.n_tuples() {
-                let class = c.u32()?;
+                let class = r.u32()?;
                 if class as usize >= n_shapes {
-                    return Err(DecodeError::BadIndex("tuple class"));
+                    return Err(CodecError::BadValue("tuple class"));
                 }
                 classes.push(class);
             }
             tuple_class.push(classes);
         }
     }
-    if c.remaining() != 0 {
-        return Err(DecodeError::TrailingBytes);
-    }
+    r.finish()?;
     // Parent pointers must land inside the parent relation's tuple block.
-    for r in 1..n_rel {
-        let rel = relations.get(r).ok_or(DecodeError::BadIndex("relation"))?;
-        let parent = rel.parent.ok_or(DecodeError::BadIndex("parent relation"))?;
+    for i in 1..n_rel {
+        let rel = relations.get(i).ok_or(CodecError::BadValue("relation"))?;
+        let parent = rel.parent.ok_or(CodecError::BadValue("parent relation"))?;
         let parent_tuples = relations
             .get(parent.index())
             .map(|p| p.n_tuples())
-            .ok_or(DecodeError::BadIndex("parent relation"))?;
+            .ok_or(CodecError::BadValue("parent relation"))?;
         if rel.parent_of.iter().any(|&p| p as usize >= parent_tuples) {
-            return Err(DecodeError::BadIndex("parent pointer"));
+            return Err(CodecError::BadValue("parent pointer"));
         }
     }
     Ok(SegmentPartial {
@@ -846,6 +817,8 @@ pub fn forest_fingerprint(forest: &Forest) -> u128 {
 mod tests {
     use super::*;
     use crate::encode::encode;
+    use crate::treetuple::encode_tree;
+    use xfd_hash::codec::check_garbled;
     use xfd_schema::infer_schema;
     use xfd_xml::{parse, OrderMode};
 
@@ -1163,7 +1136,12 @@ mod tests {
             .collect();
         let decoded: Vec<SegmentPartial> = parts
             .iter()
-            .map(|p| decode_partial(&encode_partial(p), &map, config).expect("round-trip"))
+            .map(|p| {
+                let bytes = encode_partial(p);
+                let decode = |b: &[u8]| decode_partial(b, &map, config);
+                assert_eq!(check_garbled(&bytes, decode), Ok(()));
+                decode(&bytes).expect("round-trip")
+            })
             .collect();
         let direct: Vec<&SegmentPartial> = parts.iter().collect();
         let wired: Vec<&SegmentPartial> = decoded.iter().collect();
@@ -1196,6 +1174,43 @@ mod tests {
     }
 
     #[test]
+    fn tree_and_partial_encodings_are_pinned() {
+        // Corpus segments and cluster pushes carry these bytes; the
+        // `XTT1`/`XSP2` magics pin their layouts.
+        let tree = xfd_datagen::warehouse_figure1();
+        let schema = infer_schema(&grafted(&[&tree]));
+        let map = SchemaMap::new(&schema);
+        let mut blocks = vec![encode_tree(&tree)];
+        for config in [
+            EncodeConfig::default(),
+            EncodeConfig {
+                complex_columns: ComplexColumnMode::ValueClass,
+                ..Default::default()
+            },
+            EncodeConfig {
+                set_columns: SetColumnMode::None,
+                complex_columns: ComplexColumnMode::Omit,
+                ..Default::default()
+            },
+        ] {
+            blocks.push(encode_partial(&build_partial(&tree, &map, &config)));
+        }
+        let digests: Vec<String> = blocks
+            .iter()
+            .map(|b| xfd_hash::format_digest(xfd_hash::digest_bytes(b)))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                "ef24e7a70aba00668725fc38c72e6b99",
+                "bc925497cef8962e4c0c41cd4a0eb423",
+                "c07b8bf7884180e056552f65d1da4e0d",
+                "cd8001f1da20f14fedbe5e68744f28e0",
+            ]
+        );
+    }
+
+    #[test]
     fn partial_decode_rejects_corruption() {
         let tree = parse(STORES[0]).unwrap();
         let refs = [&tree];
@@ -1205,28 +1220,14 @@ mod tests {
         let bytes = encode_partial(&build_partial(&tree, &map, &config));
         assert_eq!(
             decode_partial(b"nope", &map, &config).err(),
-            Some(DecodeError::BadMagic)
+            Some(CodecError::BadMagic)
         );
-        // Every strict prefix fails; none panics or yields a partial.
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_partial(&bytes[..cut], &map, &config).is_err(),
-                "prefix {cut} decoded"
-            );
-        }
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(
             decode_partial(&trailing, &map, &config).err(),
-            Some(DecodeError::TrailingBytes)
+            Some(CodecError::TrailingBytes)
         );
-        // Single-byte corruption must never panic (errors or a valid but
-        // different partial are both acceptable).
-        for i in 0..bytes.len() {
-            let mut dirty = bytes.clone();
-            dirty[i] ^= 0xff;
-            let _ = decode_partial(&dirty, &map, &config);
-        }
         // A mismatched plan (different class-table expectations) is typed.
         let no_classes = EncodeConfig {
             set_columns: SetColumnMode::None,

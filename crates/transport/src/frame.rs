@@ -33,6 +33,8 @@
 
 use std::io::{self, Read, Write};
 
+use xfd_hash::codec::{put_bytes, put_u128, put_u32, put_u64, CodecError, Reader};
+
 /// Protocol version, checked in the `Join` handshake. Bump on any frame
 /// layout change, including the layouts of the `Plan` config and `Pass`
 /// task payloads.
@@ -186,113 +188,28 @@ const K_SEG_HAVE: u8 = 15;
 const K_SEG_MANIFEST: u8 = 16;
 const K_SEG_DATA: u8 = 17;
 
-fn proto_err(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("protocol: {what}"))
+/// Up-front reserve for one payload. A peer's length prefix is only a
+/// claim until the bytes arrive, so the buffer grows as they do.
+const PAYLOAD_RESERVE: usize = 64 << 10;
+
+fn invalid(e: CodecError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// Bounded little-endian payload reader.
-struct Cur<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(bytes: &'a [u8]) -> Cur<'a> {
-        Cur { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| proto_err("length overflow"))?;
-        let out = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| proto_err("truncated payload"))?;
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        let b = self.take(4)?;
-        <[u8; 4]>::try_from(b)
-            .map(u32::from_le_bytes)
-            .map_err(|_| proto_err("truncated u32"))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        let b = self.take(8)?;
-        <[u8; 8]>::try_from(b)
-            .map(u64::from_le_bytes)
-            .map_err(|_| proto_err("truncated u64"))
-    }
-
-    fn u128(&mut self) -> io::Result<u128> {
-        let b = self.take(16)?;
-        <[u8; 16]>::try_from(b)
-            .map(u128::from_le_bytes)
-            .map_err(|_| proto_err("truncated u128"))
-    }
-
-    /// A `u32`-length-prefixed byte string, capped by what the payload can
-    /// actually hold.
-    fn bytes(&mut self) -> io::Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        let b = self.bytes()?;
-        String::from_utf8(b).map_err(|_| proto_err("bad utf-8"))
-    }
-
-    /// A `u32`-count-prefixed digest list; the count must fit in what
-    /// remains of the payload before anything is allocated.
-    fn digests(&mut self, payload_len: usize) -> io::Result<Vec<u128>> {
-        let n = self.u32()? as usize;
-        // 16 bytes per digest must fit in what remains.
-        if n > payload_len / 16 {
-            return Err(proto_err("digest count exceeds payload"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u128()?);
-        }
-        Ok(out)
-    }
-
-    fn finish(&self) -> io::Result<()> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(proto_err("trailing bytes"))
-        }
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-fn put_digests(out: &mut Vec<u8>, digests: &[u128]) {
+fn write_digests(out: &mut Vec<u8>, digests: &[u128]) {
     put_u32(out, digests.len() as u32);
-    for d in digests {
-        put_u128(out, *d);
+    for &d in digests {
+        put_u128(out, d);
     }
+}
+
+fn read_digests(r: &mut Reader<'_>) -> Result<Vec<u128>, CodecError> {
+    let n = r.count_u32(16)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(r.u128()?);
+    }
+    Ok(out)
 }
 
 impl Frame {
@@ -343,7 +260,7 @@ impl Frame {
             }
             Frame::PlanAck { plan_fp } => put_u128(&mut out, *plan_fp),
             Frame::SegHave { digests } | Frame::SegManifest { digests } => {
-                put_digests(&mut out, digests)
+                write_digests(&mut out, digests)
             }
             Frame::SegData { digest, bytes } => {
                 put_u128(&mut out, *digest);
@@ -356,7 +273,7 @@ impl Frame {
             }
             Frame::Build { forest_fp, digests } => {
                 put_u128(&mut out, *forest_fp);
-                put_digests(&mut out, digests);
+                write_digests(&mut out, digests);
             }
             Frame::ForestAck { forest_fp } => put_u128(&mut out, *forest_fp),
             Frame::Pass {
@@ -378,66 +295,65 @@ impl Frame {
         out
     }
 
-    fn decode(kind: u8, payload: &[u8]) -> io::Result<Frame> {
-        let mut c = Cur::new(payload);
+    fn decode(kind: u8, payload: &[u8]) -> Result<Frame, CodecError> {
+        let mut r = Reader::new(payload);
         let frame = match kind {
             K_JOIN => Frame::Join {
-                version: c.u32()?,
-                index: c.u32()?,
-                auth: c.u128()?,
+                version: r.u32()?,
+                index: r.u32()?,
+                auth: r.u128()?,
             },
             K_PLAN => Frame::Plan {
-                plan_fp: c.u128()?,
-                auth: c.u128()?,
-                corpus_dir: c.string()?,
-                config: c.bytes()?,
+                plan_fp: r.u128()?,
+                auth: r.u128()?,
+                corpus_dir: r.str()?.to_string(),
+                config: r.bytes()?.to_vec(),
             },
-            K_PLAN_ACK => Frame::PlanAck { plan_fp: c.u128()? },
+            K_PLAN_ACK => Frame::PlanAck { plan_fp: r.u128()? },
             K_SEG_HAVE => Frame::SegHave {
-                digests: c.digests(payload.len())?,
+                digests: read_digests(&mut r)?,
             },
             K_SEG_MANIFEST => Frame::SegManifest {
-                digests: c.digests(payload.len())?,
+                digests: read_digests(&mut r)?,
             },
             K_SEG_DATA => Frame::SegData {
-                digest: c.u128()?,
-                bytes: c.bytes()?,
+                digest: r.u128()?,
+                bytes: r.bytes()?.to_vec(),
             },
-            K_ENCODE => Frame::Encode { digest: c.u128()? },
+            K_ENCODE => Frame::Encode { digest: r.u128()? },
             K_PARTIAL => Frame::Partial {
-                digest: c.u128()?,
-                bytes: c.bytes()?,
+                digest: r.u128()?,
+                bytes: r.bytes()?.to_vec(),
             },
             K_PUSH => Frame::Push {
-                digest: c.u128()?,
-                bytes: c.bytes()?,
+                digest: r.u128()?,
+                bytes: r.bytes()?.to_vec(),
             },
-            K_BUILD => {
-                let forest_fp = c.u128()?;
-                let digests = c.digests(payload.len())?;
-                Frame::Build { forest_fp, digests }
-            }
+            K_BUILD => Frame::Build {
+                forest_fp: r.u128()?,
+                digests: read_digests(&mut r)?,
+            },
             K_FOREST_ACK => Frame::ForestAck {
-                forest_fp: c.u128()?,
+                forest_fp: r.u128()?,
             },
             K_PASS => Frame::Pass {
-                task_id: c.u64()?,
-                config: c.bytes()?,
-                task: c.bytes()?,
+                task_id: r.u64()?,
+                config: r.bytes()?.to_vec(),
+                task: r.bytes()?.to_vec(),
             },
             K_TASK_RESULT => Frame::TaskResult {
-                task_id: c.u64()?,
-                output: c.bytes()?,
+                task_id: r.u64()?,
+                output: r.bytes()?.to_vec(),
             },
             K_PING => Frame::Ping,
             K_PONG => Frame::Pong,
             K_SHUTDOWN => Frame::Shutdown,
             K_WORKER_ERROR => Frame::WorkerError {
-                message: c.string()?,
+                message: r.str()?.to_string(),
             },
-            _ => return Err(proto_err("unknown frame kind")),
+            _ => return Err(CodecError::BadTag("frame kind")),
         };
-        c.finish()?;
+        r.finish()?;
         Ok(frame)
     }
 }
@@ -447,10 +363,12 @@ impl Frame {
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     let payload = frame.payload();
     if payload.len() > MAX_PAYLOAD {
-        return Err(proto_err("payload too large"));
+        return Err(invalid(CodecError::BadValue("payload length")));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&[frame.kind()])?;
+    let mut header = Vec::with_capacity(5);
+    put_u32(&mut header, payload.len() as u32);
+    header.push(frame.kind());
+    w.write_all(&header)?;
     w.write_all(&payload)?;
     Ok(())
 }
@@ -458,44 +376,42 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// Read one frame. `Ok(None)` on clean EOF at a frame boundary; EOF
 /// mid-frame is an error (the peer died mid-write).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
-    let mut header = [0u8; 4];
+    let mut header = [0u8; 5];
     // Distinguish "no more frames" from "torn frame": only a zero-byte
     // first read is a clean close.
     let mut filled = 0usize;
-    while filled < 4 {
-        let n = match header.get_mut(filled..) {
-            Some(buf) => r.read(buf)?,
-            None => 0,
-        };
+    while let Some(rest) = header.get_mut(filled..).filter(|b| !b.is_empty()) {
+        let n = r.read(rest)?;
         if n == 0 {
             if filled == 0 {
                 return Ok(None);
             }
-            return Err(proto_err("eof mid-header"));
+            return Err(invalid(CodecError::Truncated));
         }
         filled += n;
     }
-    let len = u32::from_le_bytes(header) as usize;
+    let mut head = Reader::new(&header);
+    let len = head.u32().map_err(invalid)? as usize;
+    let kind = head.u8().map_err(invalid)?;
     if len > MAX_PAYLOAD {
-        return Err(proto_err("payload too large"));
+        return Err(invalid(CodecError::BadValue("payload length")));
     }
-    let mut kind = [0u8; 1];
-    r.read_exact(&mut kind)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let Some(&k) = kind.first() else {
-        return Err(proto_err("missing kind"));
-    };
-    Frame::decode(k, &payload).map(Some)
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(invalid(CodecError::Truncated));
+    }
+    Frame::decode(kind, &payload).map(Some).map_err(invalid)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xfd_hash::codec::check_garbled;
 
-    #[test]
-    fn frames_round_trip() {
-        let frames = vec![
+    /// One frame of every kind.
+    fn all_frames() -> Vec<Frame> {
+        vec![
             Frame::Join {
                 version: PROTOCOL_VERSION,
                 index: 3,
@@ -547,7 +463,26 @@ mod tests {
             Frame::WorkerError {
                 message: "bad".into(),
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn frame_stream_is_pinned() {
+        // `PROTOCOL_VERSION` pins this layout: a change that moves a byte
+        // must bump it.
+        let mut wire = Vec::new();
+        for f in &all_frames() {
+            write_frame(&mut wire, f).unwrap();
+        }
+        assert_eq!(
+            xfd_hash::format_digest(xfd_hash::digest_bytes(&wire)),
+            "44867ba2154d5da54223052e6936674a"
+        );
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        let frames = all_frames();
         let mut wire = Vec::new();
         for f in &frames {
             write_frame(&mut wire, f).unwrap();
@@ -557,6 +492,14 @@ mod tests {
             assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(f));
         }
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn every_frame_payload_passes_the_garble_check() {
+        for f in all_frames() {
+            let decode = |b: &[u8]| Frame::decode(f.kind(), b);
+            assert_eq!(check_garbled(&f.payload(), decode), Ok(()), "{f:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings"
 # Vendored stand-in crates (vendor/*) are exempt from the lint gate.
 cargo clippy --workspace --all-targets \
-  --exclude rand --exclude proptest --exclude criterion \
+  --exclude rand --exclude proptest \
   -- -D warnings
 
 echo "== xfdlint --check"
