@@ -1,12 +1,14 @@
 //! Partition-machinery benchmark (`scripts/bench_quick.sh`).
 //!
-//! Sweeps the warehouse and XMark-like SF=1 datasets through the
-//! sequential, parallel and byte-budgeted discovery configurations,
-//! recording wall time and the partition-cache counters, and counts the
-//! heap allocations of the CSR scratch-reusing partition product against a
-//! naive per-group-`Vec` product (the classic TANE-style layout). Results
-//! land in `BENCH_partitions.json` (or the path given as the first
-//! argument).
+//! Sweeps the warehouse, XMark-like SF=1 and deep synthetic datasets
+//! through the sequential, parallel and byte-budgeted discovery
+//! configurations, recording wall time and the partition-cache counters;
+//! compares the tiered partition kernel against the materializing one on
+//! the deep dataset's relation through `discover_intra`, the only place
+//! the materializing kernel still runs; and counts the heap allocations of
+//! the CSR scratch-reusing partition product against a naive
+//! per-group-`Vec` product (the classic TANE-style layout). Results land
+//! in `BENCH_partitions.json` (or the path given as the first argument).
 //!
 //! ```sh
 //! cargo run --release -p xfd-bench --bin bench_partitions [-- out.json]
@@ -20,11 +22,14 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use discoverxfd::intra::{discover_intra, IntraOptions, RunStats};
 use discoverxfd::{discover, DiscoveryConfig};
 use xfd_datagen::{
     warehouse_scaled, wide_relation, xmark_like, WarehouseSpec, WideSpec, XmarkSpec,
 };
 use xfd_partition::{GroupMap, Partition, ProductScratch};
+use xfd_relation::{encode, EncodeConfig};
+use xfd_schema::infer_schema;
 use xfd_xml::DataTree;
 
 /// Passthrough system allocator that counts allocation events, so the
@@ -70,17 +75,8 @@ struct RunResult {
     /// Wall time of the lattice-discovery phase alone (the part the
     /// partition kernels run in), excluding parse/encode/redundancy.
     lattice_ms: f64,
-    nodes: usize,
-    partitions: usize,
-    products: usize,
-    products_error_only: usize,
-    products_materialized: usize,
-    early_exits: usize,
-    summary_hits: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    evictions: usize,
-    peak_resident_bytes: usize,
+    /// Lattice work counters; identical across repetitions.
+    stats: RunStats,
     fds: usize,
     keys: usize,
 }
@@ -105,44 +101,110 @@ fn run_config(
     let r = report.expect("at least one run");
     RunResult {
         config: label,
-        kernel: if config.error_only_kernel {
-            "tiered"
-        } else {
-            "materializing"
-        },
+        kernel: "tiered",
         ms: best,
         lattice_ms: best_lattice,
-        nodes: r.stats.lattice.nodes_visited,
-        partitions: r.stats.lattice.partitions_built,
-        products: r.stats.lattice.products,
-        products_error_only: r.stats.lattice.products_error_only,
-        products_materialized: r.stats.lattice.products_materialized,
-        early_exits: r.stats.lattice.early_exits,
-        summary_hits: r.stats.lattice.summary_hits,
-        cache_hits: r.stats.lattice.cache_hits,
-        cache_misses: r.stats.lattice.cache_misses,
-        evictions: r.stats.lattice.evictions,
-        peak_resident_bytes: r.stats.lattice.peak_resident_bytes,
+        stats: r.stats.lattice,
         fds: r.fds.len(),
         keys: r.keys.len(),
     }
 }
 
-/// The work counters of a run, for cross-config equality checks.
-fn counters(r: &RunResult) -> [usize; 11] {
-    [
-        r.nodes,
-        r.partitions,
-        r.products,
-        r.products_error_only,
-        r.products_materialized,
-        r.early_exits,
-        r.summary_hits,
-        r.cache_hits,
-        r.cache_misses,
-        r.evictions,
-        r.peak_resident_bytes,
-    ]
+/// One `discover_intra` run over a table, best of `reps`: the whole run is
+/// the lattice phase, so `ms` and `lattice_ms` agree.
+fn run_intra(
+    columns: &[&[Option<u64>]],
+    n_tuples: usize,
+    opts: &IntraOptions,
+    label: &'static str,
+    reps: usize,
+) -> RunResult {
+    let mut best = f64::MAX;
+    let mut result = None;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let r = discover_intra(columns, n_tuples, opts);
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        result = Some(r);
+    }
+    let r = result.expect("at least one run");
+    RunResult {
+        config: label,
+        kernel: if opts.error_only_kernel {
+            "tiered"
+        } else {
+            "materializing"
+        },
+        ms: best,
+        lattice_ms: best,
+        stats: r.stats,
+        fds: r.fds.len(),
+        keys: r.keys.len(),
+    }
+}
+
+/// The tiered kernel against the materializing one on the widest relation
+/// of `tree`, through `discover_intra` under the options DiscoverXFD's
+/// relation pass uses (`candidateLHS2`, i.e. rule 2 off). Gates the
+/// lattice speedup at `gate` and the tiered peak residency at no more than
+/// the materializing run's.
+fn kernel_ab(name: &str, tree: &DataTree, gate: f64) -> [RunResult; 2] {
+    let schema = infer_schema(tree);
+    let forest = encode(tree, &schema, &EncodeConfig::default());
+    let rel = forest
+        .relations
+        .iter()
+        .max_by_key(|r| r.columns.len())
+        .expect("a forest has a root relation");
+    let columns: Vec<&[Option<u64>]> = rel.columns.iter().map(|c| c.cells.as_slice()).collect();
+    let tiered = IntraOptions {
+        use_rule2: false,
+        ..Default::default()
+    };
+    let materializing = IntraOptions {
+        error_only_kernel: false,
+        ..tiered
+    };
+    let runs = [
+        run_intra(&columns, rel.n_tuples(), &tiered, "intra-tiered", 3),
+        run_intra(
+            &columns,
+            rel.n_tuples(),
+            &materializing,
+            "intra-materializing",
+            3,
+        ),
+    ];
+    assert_eq!(
+        (runs[0].fds, runs[0].keys),
+        (runs[1].fds, runs[1].keys),
+        "{name}: the kernels disagree"
+    );
+    // The tiered kernel must actually engage, and must not cost memory:
+    // summaries are 32 bytes against whole CSR partitions.
+    assert!(
+        runs[0].stats.products_error_only > 0 && runs[0].stats.early_exits > 0,
+        "{name}: tiered run never exited early through the error-only kernel"
+    );
+    assert_eq!(
+        runs[1].stats.products_error_only, 0,
+        "{name}: materializing run used the error-only kernel"
+    );
+    assert!(
+        runs[0].stats.peak_resident_bytes <= runs[1].stats.peak_resident_bytes,
+        "{name}: tiered peak {} exceeds materializing peak {}",
+        runs[0].stats.peak_resident_bytes,
+        runs[1].stats.peak_resident_bytes
+    );
+    let speedup = runs[1].lattice_ms / runs[0].lattice_ms;
+    assert!(
+        speedup >= gate,
+        "{name}: tiered kernel speedup {speedup:.2}x below the {gate:.1}x gate \
+         (lattice {:.2} ms tiered vs {:.2} ms materializing)",
+        runs[0].lattice_ms,
+        runs[1].lattice_ms
+    );
+    runs
 }
 
 fn sweep(
@@ -153,17 +215,8 @@ fn sweep(
     inter_relation: bool,
     out: &mut String,
 ) -> (f64, f64) {
-    let mut configs: [(&'static str, DiscoveryConfig); 4] = [
+    let mut configs: [(&'static str, DiscoveryConfig); 3] = [
         ("sequential", DiscoveryConfig::default()),
-        // Escape hatch: every lattice node materializes its CSR product —
-        // the before side of the tiered-kernel comparison.
-        (
-            "materializing",
-            DiscoveryConfig {
-                error_only_kernel: false,
-                ..Default::default()
-            },
-        ),
         // Two workers: relation passes of one wave run on a pool (pure
         // overhead where `available_parallelism` is 1).
         (
@@ -187,7 +240,7 @@ fn sweep(
     for (_, cfg) in &mut configs {
         cfg.inter_relation = inter_relation;
     }
-    let results: Vec<RunResult> = configs
+    let mut results: Vec<RunResult> = configs
         .iter()
         .map(|(label, cfg)| {
             // The budgeted run trades time for memory by design; one
@@ -208,26 +261,37 @@ fn sweep(
     // Threads only split relations across workers, so every work counter
     // matches the sequential run too.
     assert_eq!(
-        counters(&results[2]),
-        counters(&results[0]),
+        results[1].stats, results[0].stats,
         "{name}: parallel-2 work counters diverged from sequential"
     );
-    // The tiered kernel must actually engage, and must not cost memory:
-    // summaries are 32 bytes against whole CSR partitions.
     assert!(
-        results[0].products_error_only > 0,
+        results[0].stats.products_error_only > 0,
         "{name}: tiered run never used the error-only kernel"
     );
-    assert_eq!(
-        results[1].products_error_only, 0,
-        "{name}: materializing run used the error-only kernel"
-    );
-    assert!(
-        results[0].peak_resident_bytes <= results[1].peak_resident_bytes,
-        "{name}: tiered peak {} exceeds materializing peak {}",
-        results[0].peak_resident_bytes,
-        results[1].peak_resident_bytes
-    );
+    let speedup = results[0].ms / results[1].ms;
+    let speedup_kernel = kernel_gate.map(|gate| {
+        let [tiered, materializing] = kernel_ab(name, tree, gate);
+        // Without targets, the sequential run's one non-trivial relation
+        // pass is exactly the tiered lattice the comparison timed.
+        if !inter_relation {
+            assert_eq!(
+                tiered.stats, results[0].stats,
+                "{name}: the kernel comparison left the relation pass's path"
+            );
+        }
+        let speedup = materializing.lattice_ms / tiered.lattice_ms;
+        eprintln!(
+            "{name}: intra lattice tiered {:.2} ms vs materializing {:.2} ms \
+             (kernel {speedup:.2}x), peak {} vs {} bytes",
+            tiered.lattice_ms,
+            materializing.lattice_ms,
+            tiered.stats.peak_resident_bytes,
+            materializing.stats.peak_resident_bytes
+        );
+        results.push(tiered);
+        results.push(materializing);
+        speedup
+    });
     let stats = tree.stats();
     // A 1-core box runs "parallel" rows on the sequential path plus thread
     // overhead; mark them so CI gates skip their speedups.
@@ -259,58 +323,36 @@ fn sweep(
             r.lattice_ms,
             r.fds,
             r.keys,
-            r.nodes,
-            r.partitions,
-            r.products,
-            r.products_error_only,
-            r.products_materialized,
-            r.early_exits,
-            r.summary_hits,
-            r.cache_hits,
-            r.cache_misses,
-            r.evictions,
-            r.peak_resident_bytes,
+            r.stats.nodes_visited,
+            r.stats.partitions_built,
+            r.stats.products,
+            r.stats.products_error_only,
+            r.stats.products_materialized,
+            r.stats.early_exits,
+            r.stats.summary_hits,
+            r.stats.cache_hits,
+            r.stats.cache_misses,
+            r.stats.evictions,
+            r.stats.peak_resident_bytes,
             if i + 1 < results.len() { "," } else { "" }
         );
     }
-    let speedup = results[0].ms / results[2].ms;
-    // The kernel comparison is scoped to the lattice phase: parse, encode
-    // and redundancy analysis are byte-identical work on both sides and
-    // would only dilute the number this benchmark exists to watch.
-    let speedup_kernel = results[1].lattice_ms / results[0].lattice_ms;
-    if let Some(gate) = kernel_gate {
-        assert!(
-            speedup_kernel >= gate,
-            "{name}: tiered kernel speedup {speedup_kernel:.2}x below the {gate:.1}x gate \
-             (lattice {:.2} ms tiered vs {:.2} ms materializing)",
-            results[0].lattice_ms,
-            results[1].lattice_ms
-        );
-        assert!(
-            results[0].early_exits > 0,
-            "{name}: no early exits on a dataset with invalid candidates"
-        );
+    let _ = write!(out, "    ], \"speedup_parallel\": {speedup:.3}, ");
+    if let Some(k) = speedup_kernel {
+        let _ = write!(out, "\"speedup_kernel\": {k:.3}, ");
     }
-    let _ = write!(
-        out,
-        "    ], \"speedup_parallel\": {:.3}, \"speedup_kernel\": {:.3}, \
-         \"identical_output\": true}}",
-        speedup, speedup_kernel
-    );
+    let _ = write!(out, "\"identical_output\": true}}");
     eprintln!(
-        "{name}: tiered {:.2} ms (lattice {:.2}), materializing {:.2} ms (lattice {:.2}, \
-         kernel {speedup_kernel:.2}x), parallel {:.2} ms ({speedup:.2}x), \
+        "{name}: sequential {:.2} ms (lattice {:.2}), parallel {:.2} ms ({speedup:.2}x), \
          budget peak {} -> {} bytes ({} evictions)",
         results[0].ms,
         results[0].lattice_ms,
         results[1].ms,
-        results[1].lattice_ms,
-        results[2].ms,
-        results[0].peak_resident_bytes,
-        results[3].peak_resident_bytes,
-        results[3].evictions,
+        results[0].stats.peak_resident_bytes,
+        results[2].stats.peak_resident_bytes,
+        results[2].stats.evictions,
     );
-    (results[0].ms, results[2].ms)
+    (results[0].ms, results[1].ms)
 }
 
 /// The pre-CSR shape of a partition product: one heap `Vec` per output
@@ -439,11 +481,11 @@ fn main() {
     json.push_str(",\n");
     sweep("xmark-sf1", &xmark, 1 << 20, None, true, &mut json);
     json.push_str(",\n");
-    // The deep working set peaks around ~40 MB materializing (stripped
-    // partitions stay fat at this domain); a 12 MiB budget shows real
-    // eviction pressure without the pathological thrash of tiny budgets.
-    // This is the dataset the tiered kernel exists for, so its lattice
-    // phase gates at 1.5x.
+    // The deep working set peaks around ~40 MB tiered (stripped partitions
+    // stay fat at this domain); a 12 MiB budget shows real eviction
+    // pressure without the pathological thrash of tiny budgets. This is
+    // the dataset the tiered kernel exists for, so its kernel A/B gates
+    // the lattice phase at 1.5x.
     sweep("deep-10x40k", &deep, 12 << 20, Some(1.5), false, &mut json);
     json.push_str("\n  ],\n");
     product_allocation_comparison(&mut json);

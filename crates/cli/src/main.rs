@@ -12,8 +12,8 @@ use std::process::ExitCode;
 
 use discoverxfd::approximate::discover_approximate_forest;
 use discoverxfd::baseline::{discover_flat, BaselineOptions};
-use discoverxfd::report::{render_markdown, render_text, RenderOptions};
-use discoverxfd::{discover_with_schema, DiscoveryConfig};
+use discoverxfd::report::{render_json, render_markdown, render_text, RenderOptions};
+use discoverxfd::{discover_with_schema, DiscoveryConfig, RunOutcome};
 use xfd_datagen as datagen;
 use xfd_relation::{encode, EncodeConfig, OrderMode, SetColumnMode};
 use xfd_schema::{infer_schema, nested_representation};
@@ -36,7 +36,7 @@ const USAGE: &str = "usage:
   discoverxfd discover <file.xml> [--max-lhs N] [--no-sets] [--no-inter] [--ordered]
                                   [--approx EPS] [--inds] [--cover] [--keep-uninteresting]
                                   [--threads N] [--cache-budget BYTES]
-                                  [--no-error-only-kernel] [--suggest] [--markdown|--json]
+                                  [--suggest] [--markdown|--json]
   discoverxfd schema   <file.xml> [--xsd]
   discoverxfd encode   <file.xml>
   discoverxfd flat     <file.xml> [--max-rows N] [--max-lhs N]
@@ -59,7 +59,6 @@ const USAGE: &str = "usage:
   discoverxfd corpus discover <corpus> [--root DIR] [--json|--markdown] [--progress]
                               [--max-lhs N] [--no-inter] [--keep-uninteresting]
                               [--threads N] [--cache-budget BYTES] [--memo-budget BYTES]
-                              [--no-error-only-kernel]
   discoverxfd corpus compact <corpus> [--root DIR]    (merge segments into one)
   discoverxfd corpus status <corpus> [--root DIR]
   discoverxfd corpus list [--root DIR]
@@ -68,7 +67,7 @@ const USAGE: &str = "usage:
                                [--remote HOST:PORT,...] [--token T]
                                [--json|--markdown] [--max-lhs N] [--no-inter]
                                [--keep-uninteresting] [--threads N] [--cache-budget BYTES]
-                               [--memo-budget BYTES] [--no-error-only-kernel]
+                               [--memo-budget BYTES]
                        (corpus discovery sharded over worker subprocesses / remote hosts)
   discoverxfd worker   (--socket <path> | --listen HOST:PORT) [--index N] [--token T]
                        [--seg-cache DIR] [--seg-cache-budget BYTES] [--no-shared-storage]
@@ -148,39 +147,80 @@ fn positional(args: &[String], idx: usize) -> Result<&str, String> {
         .ok_or_else(|| "missing argument".to_string())
 }
 
-fn cmd_discover(args: &[String]) -> Result<(), String> {
-    check_flags(
-        args,
-        &[
-            "--max-lhs",
-            "--no-sets",
-            "--no-inter",
-            "--ordered",
-            "--approx",
-            "--inds",
-            "--cover",
-            "--keep-uninteresting",
-            "--threads",
-            "--cache-budget",
-            "--no-error-only-kernel",
-            "--suggest",
-            "--markdown",
-            "--json",
-        ],
-    )?;
-    let tree = load(positional(args, 0)?)?;
+/// Boolean flags of every discovery job: `discover`, `corpus discover`
+/// and `cluster discover`.
+const DISCOVERY_FLAGS: [&str; 4] = ["--no-inter", "--keep-uninteresting", "--json", "--markdown"];
+
+/// Valued options of every discovery job.
+const DISCOVERY_OPTIONS: [&str; 3] = ["--max-lhs", "--threads", "--cache-budget"];
+
+/// The configuration the shared discovery flags ask for.
+fn discovery_config(args: &[String]) -> Result<DiscoveryConfig, String> {
     let mut config = DiscoveryConfig {
         max_lhs_size: opt_value::<usize>(args, "--max-lhs")?,
         inter_relation: !flag(args, "--no-inter"),
         keep_uninteresting: flag(args, "--keep-uninteresting"),
         cache_budget: opt_value::<usize>(args, "--cache-budget")?,
-        error_only_kernel: !flag(args, "--no-error-only-kernel"),
         ..Default::default()
     };
     if let Some(threads) = opt_value::<usize>(args, "--threads")? {
         // `--threads 1` forces sequential; `--threads 0` = auto-detect.
         config.threads = threads;
     }
+    Ok(config)
+}
+
+/// The report format a discovery job prints: `--json` over `--markdown`
+/// over text.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Format {
+    Text,
+    Markdown,
+    Json,
+}
+
+impl Format {
+    fn of(args: &[String]) -> Format {
+        if flag(args, "--json") {
+            Format::Json
+        } else if flag(args, "--markdown") {
+            Format::Markdown
+        } else {
+            Format::Text
+        }
+    }
+
+    /// Render `outcome`, listing uninteresting FDs when the run kept them
+    /// and suggestions on `--suggest`.
+    fn render(self, args: &[String], outcome: &RunOutcome, config: &DiscoveryConfig) -> String {
+        let opts = RenderOptions {
+            show_uninteresting: config.keep_uninteresting,
+            show_suggestions: flag(args, "--suggest"),
+            show_stats: true,
+        };
+        match self {
+            Format::Json => render_json(outcome),
+            Format::Markdown => render_markdown(outcome, &opts),
+            Format::Text => render_text(outcome, &opts),
+        }
+    }
+}
+
+fn cmd_discover(args: &[String]) -> Result<(), String> {
+    let own = [
+        "--no-sets",
+        "--ordered",
+        "--approx",
+        "--inds",
+        "--cover",
+        "--suggest",
+    ];
+    check_flags(
+        args,
+        &[&DISCOVERY_FLAGS[..], &DISCOVERY_OPTIONS, &own].concat(),
+    )?;
+    let tree = load(positional(args, 0)?)?;
+    let mut config = discovery_config(args)?;
     if flag(args, "--no-sets") {
         config.encode.set_columns = SetColumnMode::None;
     }
@@ -190,19 +230,11 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
     let schema = infer_schema(&tree);
     let report = discover_with_schema(&tree, &schema, &config);
 
-    let opts = RenderOptions {
-        show_uninteresting: config.keep_uninteresting,
-        show_suggestions: flag(args, "--suggest"),
-        show_stats: true,
-    };
-    if flag(args, "--json") {
-        print!("{}", discoverxfd::report::render_json(&report));
-    } else if flag(args, "--markdown") {
-        print!("{}", render_markdown(&report, &opts));
-    } else {
+    let format = Format::of(args);
+    if format == Format::Text {
         println!("# Schema\n{}", nested_representation(&schema));
-        print!("{}", render_text(&report, &opts));
     }
+    print!("{}", format.render(args, &report, &config));
     if let Some(eps) = opt_value::<f64>(args, "--approx")? {
         let forest = encode(&tree, &schema, &config.encode);
         let approx = discover_approximate_forest(&forest, &config, eps);
@@ -584,7 +616,6 @@ fn corpus_args(
 }
 
 fn cmd_corpus(args: &[String]) -> Result<(), String> {
-    use discoverxfd::report::render_json;
     use xfd_corpus::CorpusStore;
 
     let Some(action) = args.first() else {
@@ -647,35 +678,12 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
         "discover" => {
             let p = corpus_args(
                 rest,
-                &[
-                    "--json",
-                    "--markdown",
-                    "--progress",
-                    "--no-inter",
-                    "--no-error-only-kernel",
-                    "--keep-uninteresting",
-                ],
-                &[
-                    "--root",
-                    "--max-lhs",
-                    "--threads",
-                    "--cache-budget",
-                    "--memo-budget",
-                ],
+                &[&DISCOVERY_FLAGS[..], &["--progress"]].concat(),
+                &[&DISCOVERY_OPTIONS[..], &["--root", "--memo-budget"]].concat(),
                 &["corpus name"],
             )?;
             let corpus = p[0].as_str();
-            let mut config = DiscoveryConfig {
-                max_lhs_size: opt_value::<usize>(rest, "--max-lhs")?,
-                inter_relation: !flag(rest, "--no-inter"),
-                keep_uninteresting: flag(rest, "--keep-uninteresting"),
-                cache_budget: opt_value::<usize>(rest, "--cache-budget")?,
-                error_only_kernel: !flag(rest, "--no-error-only-kernel"),
-                ..Default::default()
-            };
-            if let Some(threads) = opt_value::<usize>(rest, "--threads")? {
-                config.threads = threads;
-            }
+            let config = discovery_config(rest)?;
             let mut handle = store.open(corpus).map_err(|e| e.to_string())?;
             handle.set_memo_budget(opt_value::<usize>(rest, "--memo-budget")?);
             let progress = flag(rest, "--progress");
@@ -685,18 +693,7 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
                     eprintln!("[depth {}] {}{cached}", p.depth, p.name);
                 }
             });
-            let opts = RenderOptions {
-                show_uninteresting: config.keep_uninteresting,
-                show_suggestions: false,
-                show_stats: true,
-            };
-            if flag(rest, "--json") {
-                print!("{}", render_json(&outcome));
-            } else if flag(rest, "--markdown") {
-                print!("{}", render_markdown(&outcome, &opts));
-            } else {
-                print!("{}", render_text(&outcome, &opts));
-            }
+            print!("{}", Format::of(rest).render(rest, &outcome, &config));
             Ok(())
         }
         "compact" => {
@@ -759,7 +756,6 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
 /// subcommand). The report is byte-identical to `corpus discover`; a
 /// stable `cluster: ...` summary line goes to stderr for scripts.
 fn cmd_cluster(args: &[String]) -> Result<(), String> {
-    use discoverxfd::report::render_json;
     use xfd_corpus::CorpusStore;
 
     let Some(action) = args.first() else {
@@ -769,43 +765,24 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         return Err(format!("unknown cluster action {action:?} (discover)"));
     }
     let rest = &args[1..];
+    let own_options = [
+        "--root",
+        "--workers",
+        "--worker-timeout",
+        "--kill-worker-after",
+        "--remote",
+        "--token",
+        "--memo-budget",
+    ];
     let p = corpus_args(
         rest,
-        &[
-            "--json",
-            "--markdown",
-            "--no-inter",
-            "--no-error-only-kernel",
-            "--keep-uninteresting",
-            "--corrupt-plan",
-        ],
-        &[
-            "--root",
-            "--workers",
-            "--worker-timeout",
-            "--kill-worker-after",
-            "--remote",
-            "--token",
-            "--max-lhs",
-            "--threads",
-            "--cache-budget",
-            "--memo-budget",
-        ],
+        &[&DISCOVERY_FLAGS[..], &["--corrupt-plan"]].concat(),
+        &[&DISCOVERY_OPTIONS[..], &own_options].concat(),
         &["corpus name"],
     )?;
     let corpus = p[0].as_str();
     let root = opt_value::<String>(rest, "--root")?.unwrap_or_else(|| "corpora".into());
-    let mut config = DiscoveryConfig {
-        max_lhs_size: opt_value::<usize>(rest, "--max-lhs")?,
-        inter_relation: !flag(rest, "--no-inter"),
-        keep_uninteresting: flag(rest, "--keep-uninteresting"),
-        cache_budget: opt_value::<usize>(rest, "--cache-budget")?,
-        error_only_kernel: !flag(rest, "--no-error-only-kernel"),
-        ..Default::default()
-    };
-    if let Some(threads) = opt_value::<usize>(rest, "--threads")? {
-        config.threads = threads;
-    }
+    let config = discovery_config(rest)?;
     let mut opts = xfd_cluster::ClusterOptions::default();
     if let Some(workers) = opt_value::<usize>(rest, "--workers")? {
         opts.workers = workers;
@@ -832,18 +809,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         xfd_cluster::cluster_discover(&mut handle, &config, &opts).map_err(|e| e.to_string())?;
     // Parsed by scripts and tests: keep this line format stable.
     eprintln!("{}", stats.summary());
-    let ropts = RenderOptions {
-        show_uninteresting: config.keep_uninteresting,
-        show_suggestions: false,
-        show_stats: true,
-    };
-    if flag(rest, "--json") {
-        print!("{}", render_json(&outcome));
-    } else if flag(rest, "--markdown") {
-        print!("{}", render_markdown(&outcome, &ropts));
-    } else {
-        print!("{}", render_text(&outcome, &ropts));
-    }
+    print!("{}", Format::of(rest).render(rest, &outcome, &config));
     Ok(())
 }
 

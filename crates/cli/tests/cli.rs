@@ -301,6 +301,31 @@ fn unknown_flag_is_a_clean_error() {
     }
 }
 
+/// The materializing partition kernel is a test oracle of
+/// `discover_intra`, not a product option: no discovery job takes the old
+/// escape hatch.
+#[test]
+fn the_old_kernel_flag_is_an_unknown_option() {
+    let file = write_warehouse();
+    for args in [
+        vec!["discover", file.0.to_str().unwrap()],
+        vec!["corpus", "discover", "c"],
+        vec!["cluster", "discover", "c"],
+    ] {
+        let out = bin()
+            .args(&args)
+            .arg("--no-error-only-kernel")
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{args:?} should fail");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.starts_with("error: unknown option \"--no-error-only-kernel\""),
+            "{args:?}: {err}"
+        );
+    }
+}
+
 #[test]
 fn corpus_rejects_unknown_flags_and_excess_positionals() {
     // Single-dash spellings used to be swallowed as positionals; every

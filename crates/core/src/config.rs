@@ -60,12 +60,6 @@ pub struct DiscoveryConfig {
     /// unbounded). Evicted partitions are refolded from the base
     /// single-attribute partitions on demand, so results never change.
     pub cache_budget: Option<usize>,
-    /// Use the tiered partition kernel: validation-only lattice nodes are
-    /// answered by the error-only product (with early exit) and stored as
-    /// 16-byte summaries; full CSR partitions are materialized only for
-    /// next-level operands. Results are identical either way — this is the
-    /// escape hatch (`--no-error-only-kernel`) for A/B runs.
-    pub error_only_kernel: bool,
 }
 
 impl Default for DiscoveryConfig {
@@ -80,7 +74,6 @@ impl Default for DiscoveryConfig {
             keep_uninteresting: false,
             threads: 1,
             cache_budget: None,
-            error_only_kernel: true,
         }
     }
 }
@@ -116,7 +109,6 @@ mod tests {
         assert_eq!(c.lhs_bound(), usize::MAX);
         assert_eq!(c.effective_threads(), 1, "sequential by default");
         assert_eq!(c.cache_budget, None);
-        assert!(c.error_only_kernel, "tiered kernel is the default");
     }
 
     #[test]

@@ -34,7 +34,10 @@ pub struct IntraOptions {
     pub cache_budget: Option<usize>,
     /// Use the tiered partition kernel: error-only products with early
     /// exit for validation, full CSR materialization only for next-level
-    /// operands. Results are bit-identical either way.
+    /// operands. Results are bit-identical either way. Off, every node
+    /// materializes its partition: the oracle the intra tests, the
+    /// property tests and `bench_partitions` check the tiered kernel
+    /// against. `DiscoverXFD`'s relation passes always run tiered.
     pub error_only_kernel: bool,
 }
 
@@ -511,8 +514,8 @@ mod tests {
     }
 
     /// The tiered kernel must actually run error-only products (with early
-    /// exits on invalid candidates) while the escape hatch runs none — and
-    /// both must emit identical results.
+    /// exits on invalid candidates) while the materializing oracle runs
+    /// none — and both must emit identical results.
     #[test]
     fn tiered_kernel_counters_and_parity() {
         let mut seed = 0xA076_1D64_78BD_642Fu64;

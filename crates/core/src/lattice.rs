@@ -2,7 +2,8 @@
 //! ([`discover_levels`]) that drives both `discover_intra` and
 //! `DiscoverXFD`'s per-relation pass, candidate-LHS pruning (the paper's
 //! `candidateLHS` / `candidateLHS2`) and partition materialization for the
-//! two partition kernels (tiered error-only and materializing).
+//! tiered node routine (and the materializing oracle `discover_intra`
+//! keeps for its tests and benchmark).
 
 use xfd_partition::{AttrSet, ErrorOnlyProduct, Partition, PartitionCache};
 
@@ -72,58 +73,14 @@ pub fn candidate_lhs(
 }
 
 /// Materialize `Π_{a_set}` in the cache, preferring the paper's
-/// two-operand product over candidate LHSs (lines 9–10 of Figure 8) and
-/// falling back to folding single-attribute partitions when an operand was
-/// never materialized (possible after aggressive pruning).
-pub fn materialize(
-    cache: &mut PartitionCache,
-    a_set: AttrSet,
-    candidates: &[AttrSet],
-) -> Partition {
-    ensure(cache, a_set, candidates);
-    cache.get(a_set).expect("ensured").clone()
-}
-
-/// Like [`materialize`] but without handing out an owned copy: after this
-/// returns, `cache.get(a_set)` is guaranteed `Some`, so callers can borrow
-/// several partitions immutably at once (the lattice hot path compares
-/// `Π_{A_L}` against `Π_A` without cloning either).
-pub fn ensure(cache: &mut PartitionCache, a_set: AttrSet, candidates: &[AttrSet]) {
-    if cache.get(a_set).is_some() {
-        return;
-    }
-    // Two candidates whose union is a_set (each lacks a distinct attribute).
-    if candidates.len() >= 2 {
-        let (c1, c2) = (candidates[0], candidates[1]);
-        if cache.get(c1).is_some() && cache.get(c2).is_some() {
-            debug_assert_eq!(c1.union(c2), a_set);
-            cache.product(c1, c2);
-            return;
-        }
-    }
-    if let Some(&c1) = candidates.first() {
-        let rest = a_set.minus(c1);
-        if cache.get(c1).is_some() && cache.get(rest).is_some() {
-            cache.product(c1, rest);
-            return;
-        }
-    }
-    // Fallback: fold over single attributes.
-    let mut iter = a_set.iter();
-    let first = AttrSet::single(iter.next().expect("ensure on empty set"));
-    let mut acc = first;
-    for a in iter {
-        cache.product(acc, AttrSet::single(a));
-        acc = acc.insert(a);
-    }
-}
-
-/// [`ensure`] for the tiered kernel's frontier: identical operand
-/// preferences plus one extra pass — any *fully resident* candidate pairs
-/// with its single-attribute complement — so a frontier node whose first
-/// two candidates were validation-only (summary tier) still avoids the
-/// fold. Kept separate from [`ensure`] so the materializing kernel's work
-/// counters stay exactly as they were.
+/// two-operand product over candidate LHSs (lines 9–10 of Figure 8), then
+/// any *fully resident* candidate paired with its single-attribute
+/// complement (a frontier node whose first two candidates were
+/// validation-only, summary tier, still avoids the fold), and falling back
+/// to folding single-attribute partitions when no operand is resident
+/// (possible after aggressive pruning or eviction). After this returns,
+/// `cache.get(a_set)` is `Some`, so callers can borrow several partitions
+/// immutably at once.
 pub(crate) fn ensure_full(cache: &mut PartitionCache, a_set: AttrSet, candidates: &[AttrSet]) {
     if cache.get(a_set).is_some() {
         return;
@@ -152,7 +109,7 @@ pub(crate) fn ensure_full(cache: &mut PartitionCache, a_set: AttrSet, candidates
     }
 }
 
-/// Tiered-kernel analogue of [`ensure`]: obtain the exact summary of
+/// Tiered-kernel analogue of [`ensure_full`]: obtain the exact summary of
 /// `Π_{a_set}` (or an early-exit proof against `bound`) without
 /// materializing the product. Since `Π_{a_set} = Π_{a_set∖{a}} · Π_a` for
 /// any `a ∈ a_set`, *one* resident parent suffices: the parent is refined
@@ -221,14 +178,17 @@ pub(crate) fn candidate_error(
 
 /// Materialize the partitions the *next* lattice level will use as product
 /// operands, now that the current level's summaries identified them. Run at
-/// the end of each level by the tiered traversal.
+/// the end of each level by the tiered traversal, except in passes that
+/// check incoming targets: those build every node's full partition, which
+/// already are the next level's operands.
 ///
 /// For each next-level node [`ensure_summary`] refines *one* resident
 /// parent through a base map, so only the first candidate becomes a full
-/// partition. With `all_candidates` (inter-relation passes) every candidate
-/// is materialized instead: a failing edge `A_L → a` builds its partition
-/// target by scanning the full `Π_{A_L}`. Without it, the remaining
-/// candidates only feed error comparisons, so an exact summary suffices.
+/// partition. With `all_candidates` (target-creating passes) every
+/// candidate is materialized instead: a failing edge `A_L → a` builds its
+/// partition target by scanning the full `Π_{A_L}`. Without it, the
+/// remaining candidates only feed error comparisons, so an exact summary
+/// suffices.
 ///
 /// Why every partition this pass needs is obtainable: candidate lists only
 /// shrink as FDs/keys are discovered (pruning is monotone), so next-level
@@ -277,6 +237,10 @@ pub(crate) fn materialize_frontier(
 /// partition targets checked at every node and failing edges turned into
 /// outgoing targets. With `targets = None` this is plain `DiscoverFD`.
 ///
+/// Every node runs the tiered routine, except that `discover_intra` with
+/// `opts.error_only_kernel` off runs the materializing one, the oracle the
+/// tiered routine is tested and benchmarked against.
+///
 /// All nodes of size `k` are processed before any node of size `k+1`
 /// (generation order within a level), so each level touches partitions of
 /// sizes `k` and `k−1` only and everything smaller (bar the bases) is
@@ -302,10 +266,10 @@ pub(crate) fn discover_levels(
         debug_assert_eq!(col.len(), n_tuples);
         cache.insert_column(AttrSet::single(i), col);
     }
-    // Incoming-target checks scan the full node partition (their
-    // `GroupMap` needs it), so a pass carrying targets runs the
-    // materializing kernel.
-    let tiered = opts.error_only_kernel && !targets.as_ref().is_some_and(|t| t.has_incoming());
+    let tiered = opts.error_only_kernel || targets.is_some();
+    // A pass checking incoming targets builds every node's full partition,
+    // so its nodes already are the next level's operands.
+    let frontier = tiered && !targets.as_ref().is_some_and(|t| t.has_incoming());
     // A pass that creates targets scans the full `Π_{A_L}` of every
     // failing edge, so its frontier materializes every candidate.
     let all_candidates = targets.as_ref().is_some_and(|t| t.propagates());
@@ -338,13 +302,7 @@ pub(crate) fn discover_levels(
                     targets.as_deref_mut(),
                 )
             } else {
-                materialized_node(
-                    &mut cache,
-                    a_set,
-                    &cands,
-                    &mut result.fds,
-                    targets.as_deref_mut(),
-                )
+                materialized_node(&mut cache, a_set, &cands, &mut result.fds)
             };
             if is_key {
                 result.keys.push(a_set);
@@ -361,9 +319,9 @@ pub(crate) fn discover_levels(
                 }
             }
         }
-        // Tiered kernel: materialize exactly the partitions the next level
-        // will use while this level's operands are still resident.
-        if tiered {
+        // Materialize exactly the partitions the next level will use while
+        // this level's operands are still resident.
+        if frontier {
             materialize_frontier(
                 &mut cache,
                 &next_level,
@@ -390,13 +348,19 @@ fn edge_rhs(a_set: AttrSet, al: AttrSet) -> usize {
         .expect("al = a_set minus one attribute")
 }
 
-/// One node under the tiered kernel: exact candidate errors first (O(1)
-/// from either cache tier after the frontier pass), then one error-only
-/// product for the node, exiting early once its error provably drops below
-/// every candidate's (Lemma 2: all edges fail, and error ≥ 1 rules out a
-/// key). A failing edge of a target-creating pass builds its target from
+/// One lattice node, decided as Figure 9 decides it: candidate edges by
+/// refinement (Lemmas 1–2), then incoming partition targets against `Π_A`.
+///
+/// Where incoming targets ride, the node's full partition is built: a key
+/// completes them (Figure 9 lines 18–25), a non-key node checks them (lines
+/// 26–33), and its error is the node error. Elsewhere the node error comes
+/// from one error-only product, exiting early once it provably drops below
+/// every candidate's (all edges fail, and error ≥ 1 rules out a key).
+/// Candidate errors are exact and O(1) from either cache tier after the
+/// frontier pass; an edge holds iff its candidate's error equals the
+/// node's. A failing edge of a target-creating pass builds its target from
 /// the full `Π_{A_L}` plus the RHS *base* group map — never from the node
-/// product. Returns whether `a_set` is a key.
+/// partition. Returns whether `a_set` is a key.
 fn tiered_node(
     cache: &mut PartitionCache,
     a_set: AttrSet,
@@ -405,25 +369,48 @@ fn tiered_node(
     opts: &IntraOptions,
     mut targets: Option<&mut TargetContext<'_>>,
 ) -> bool {
+    let checked_error = match targets.as_deref_mut().filter(|t| t.has_incoming()) {
+        Some(t) => {
+            ensure_full(cache, a_set, cands);
+            let pa = cache.get(a_set).expect("ensured full");
+            if pa.is_key() {
+                t.key_found(a_set);
+                return true;
+            }
+            t.check_incoming(a_set, pa);
+            Some(pa.error())
+        }
+        None => None,
+    };
     let cand_errors: Vec<usize> = cands
         .iter()
-        .map(|&al| candidate_error(cache, al, fds, &opts.prune, opts.use_rule2, opts.empty_lhs))
+        .map(|&al| {
+            // Target-checking passes keep full partitions (the next level
+            // refines them, and a failing edge scans them), so a candidate
+            // they lack is built full rather than summarized.
+            if checked_error.is_some() {
+                ensure_full_lhs(cache, al, fds, opts);
+            }
+            candidate_error(cache, al, fds, &opts.prune, opts.use_rule2, opts.empty_lhs)
+        })
         .collect();
-    let bound = cand_errors.iter().copied().min();
-    let node_error = match ensure_summary(cache, a_set, cands, bound) {
-        ErrorOnlyProduct::Exact(s) if s.error == 0 => return true,
-        ErrorOnlyProduct::Exact(s) => Some(s.error),
-        ErrorOnlyProduct::BelowBound => None,
+    let node_error = match checked_error {
+        Some(e) => Some(e),
+        None => {
+            let bound = cand_errors.iter().copied().min();
+            match ensure_summary(cache, a_set, cands, bound) {
+                ErrorOnlyProduct::Exact(s) if s.error == 0 => return true,
+                ErrorOnlyProduct::Exact(s) => Some(s.error),
+                ErrorOnlyProduct::BelowBound => None,
+            }
+        }
     };
     for (&al, &e) in cands.iter().zip(&cand_errors) {
         let rhs = edge_rhs(a_set, al);
         if node_error == Some(e) {
             fds.push(IntraFd { lhs: al, rhs });
         } else if let Some(t) = targets.as_deref_mut().filter(|t| t.propagates()) {
-            if cache.get(al).is_none() {
-                let al_cands = candidate_lhs(al, fds, &opts.prune, opts.use_rule2, opts.empty_lhs);
-                ensure_full(cache, al, &al_cands);
-            }
+            ensure_full_lhs(cache, al, fds, opts);
             let pl = cache.get(al).expect("ensured full");
             let base = cache
                 .get(AttrSet::single(rhs))
@@ -434,39 +421,38 @@ fn tiered_node(
     false
 }
 
-/// One node under the materializing kernel: build `Π_{a_set}`, then test
-/// every candidate edge by refinement (Lemma 1). With `targets`, a key node
-/// completes incoming targets, a non-key node checks them, and failing
-/// edges create outgoing ones. Returns whether `a_set` is a key.
+/// [`ensure_full`] for candidate LHS `al`, from its own candidate LHSs.
+fn ensure_full_lhs(cache: &mut PartitionCache, al: AttrSet, fds: &[IntraFd], opts: &IntraOptions) {
+    if cache.get(al).is_none() {
+        let al_cands = candidate_lhs(al, fds, &opts.prune, opts.use_rule2, opts.empty_lhs);
+        ensure_full(cache, al, &al_cands);
+    }
+}
+
+/// One node under the materializing kernel, `discover_intra`'s oracle for
+/// [`tiered_node`]: build `Π_{a_set}`, then test every candidate edge by
+/// refinement (Lemma 1). Returns whether `a_set` is a key.
 fn materialized_node(
     cache: &mut PartitionCache,
     a_set: AttrSet,
     cands: &[AttrSet],
     fds: &mut Vec<IntraFd>,
-    mut targets: Option<&mut TargetContext<'_>>,
 ) -> bool {
-    ensure(cache, a_set, cands);
-    let pa = cache.get(a_set).expect("ensured");
-    if pa.is_key() {
-        if let Some(t) = targets {
-            t.key_found(a_set);
-        }
+    ensure_full(cache, a_set, cands);
+    if cache.get(a_set).expect("ensured").is_key() {
         return true;
-    }
-    if let Some(t) = targets.as_deref_mut() {
-        t.check_incoming(a_set, pa);
     }
     // Pin `Π_{a_set}` outside the cache while the candidates are refolded:
     // under a byte budget those inserts could otherwise evict it mid-node.
     let pa = cache.take(a_set).expect("ensured");
     for &al in cands {
-        ensure(cache, al, &[]);
+        ensure_full(cache, al, &[]);
         let pl = cache.get(al).expect("just ensured");
-        let rhs = edge_rhs(a_set, al);
         if pl.same_as_refining(&pa) {
-            fds.push(IntraFd { lhs: al, rhs });
-        } else if let Some(t) = targets.as_deref_mut().filter(|t| t.propagates()) {
-            t.edge_failed(rhs, al, pl, &pa);
+            fds.push(IntraFd {
+                lhs: al,
+                rhs: edge_rhs(a_set, al),
+            });
         }
     }
     cache.adopt(a_set, pa);
@@ -561,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn materialize_falls_back_to_fold() {
+    fn ensure_full_falls_back_to_fold() {
         use xfd_partition::Partition;
         let mut cache = PartitionCache::new();
         for (i, col) in [
@@ -576,10 +562,13 @@ mod tests {
         }
         let target = AttrSet::from_iter([0, 1, 2]);
         // No candidates cached → fold path.
-        let p = materialize(&mut cache, target, &[]);
+        ensure_full(&mut cache, target, &[]);
+        let p = cache.get(target).expect("ensured").clone();
         assert_eq!(p.groups().len(), 0, "all distinct combinations");
-        // Re-materializing hits the cache.
-        let p2 = materialize(&mut cache, target, &[]);
-        assert_eq!(p, p2);
+        let products = cache.stats().products;
+        // Re-ensuring hits the cache: no further product.
+        ensure_full(&mut cache, target, &[]);
+        assert_eq!(cache.get(target), Some(&p));
+        assert_eq!(cache.stats().products, products);
     }
 }

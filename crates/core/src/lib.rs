@@ -59,7 +59,6 @@ pub mod interesting;
 pub mod intra;
 pub mod lattice;
 pub mod memo;
-pub mod mvd;
 pub mod normalize;
 pub mod pathfd;
 pub mod profile;

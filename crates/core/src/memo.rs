@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use xfd_hash::codec::{put_u128, put_u32, put_usize, CodecError, Reader};
+use xfd_hash::codec::{put_u128, put_u32, put_usize, CodecError};
 use xfd_hash::{FxHashMap, WordDigest};
 use xfd_partition::{AttrSet, PairSet};
 use xfd_relation::{ColumnKind, Forest, RelId};
@@ -333,7 +333,6 @@ fn config_fingerprint(config: &DiscoveryConfig, d: &mut WordDigest) {
     d.update_u64(config.prune.key_prune as u64);
     d.update_u64(config.max_partition_targets as u64);
     d.update_u64(config.cache_budget.map_or(u64::MAX, |b| b as u64));
-    d.update_u64(config.error_only_kernel as u64);
 }
 
 /// Absorb the forest skeleton: ids, parent edges and pivots of every
@@ -426,21 +425,21 @@ pub struct WaveTask {
 }
 
 impl WaveTask {
-    /// Serialize for dispatch to another process.
+    /// Serialize for dispatch to another process, sealed as one record.
     pub fn encode_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        put_u32(&mut out, self.rel.0);
-        put_u128(&mut out, self.key);
-        put_usize(&mut out, self.incoming.len());
+        let mut body = Vec::with_capacity(64);
+        put_u32(&mut body, self.rel.0);
+        put_u128(&mut body, self.key);
+        put_usize(&mut body, self.incoming.len());
         for t in &self.incoming {
-            crate::wire::put_target(&mut out, t);
+            crate::wire::put_target(&mut body, t);
         }
-        out
+        crate::wire::seal(&body)
     }
 
     /// Decode a task encoded by [`WaveTask::encode_bytes`].
     pub fn decode_bytes(bytes: &[u8]) -> Result<WaveTask, CodecError> {
-        let mut r = Reader::new(bytes);
+        let mut r = crate::wire::unseal(bytes)?;
         let rel = RelId(r.u32()?);
         let key = r.u128()?;
         let n = r.count_u64(20)?;

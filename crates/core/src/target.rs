@@ -45,7 +45,7 @@ pub struct PartitionTarget {
     pub satisfied_key: Vec<AttrSet>,
 }
 
-/// Result of [`create_target`].
+/// Result of [`create_target_from_base`].
 #[derive(Debug)]
 pub enum CreateOutcome {
     /// A viable candidate partial FD.
@@ -57,40 +57,18 @@ pub enum CreateOutcome {
 }
 
 /// Build a partition target from an unsatisfied edge `A_L → a` of a
-/// relation with parent index `parent_of` (the paper's `createPT`).
-///
-/// `pl` is `Π_{A_L}`, `pa` is `Π_{A_L ∪ {a}}` (which refines `pl`).
-#[allow(clippy::too_many_arguments)]
-pub fn create_target(
-    origin: RelId,
-    rhs: usize,
-    lhs: AttrSet,
-    pl: &Partition,
-    pa: &Partition,
-    parent_of: &[Tuple],
-    max_pairs: usize,
-) -> CreateOutcome {
-    let gm = GroupMap::new(pa);
-    create_target_keyed(
-        origin,
-        rhs,
-        lhs,
-        pl,
-        |t| gm.group_of(t),
-        parent_of,
-        max_pairs,
-    )
-}
-
-/// [`create_target`] keyed by the *single-attribute base* partition of the
-/// RHS instead of the materialized product `Π_{A_L∪{a}}`. Within one group
-/// of `Π_{A_L}` (members agree on `A_L`), two tuples share a product group
-/// exactly when they share an RHS base group, and a tuple stripped from the
-/// product (its `{A_L, a}` combination is unique, or its RHS is ⊥) is
-/// either alone in its base bucket or base-⊥ — its own subgroup in both
-/// decompositions. First-touch subgroup order is the member scan order
-/// either way, so the outcome is *identical* to [`create_target`] — without
-/// materializing the product or building a per-edge O(n) group map.
+/// relation with parent index `parent_of` (the paper's `createPT`), keyed
+/// by the *single-attribute base* partition of the RHS instead of the
+/// product `Π_{A_L∪{a}}` the paper scans: `pl` is `Π_{A_L}`, `rhs_groups`
+/// the tuple → group map of `Π_a`. Within one group of `Π_{A_L}` (members
+/// agree on `A_L`), two tuples share a product group exactly when they
+/// share an RHS base group, and a tuple stripped from the product (its
+/// `{A_L, a}` combination is unique, or its RHS is ⊥) is either alone in
+/// its base bucket or base-⊥ — its own subgroup in both decompositions.
+/// First-touch subgroup order is the member scan order either way, so the
+/// outcome is *identical* to the product-keyed `createPT` (kept as the
+/// test reference `create_target`) — without materializing the product or
+/// building a per-edge O(n) group map.
 #[allow(clippy::too_many_arguments)]
 pub fn create_target_from_base(
     origin: RelId,
@@ -107,6 +85,31 @@ pub fn create_target_from_base(
         lhs,
         pl,
         |t| rhs_groups.group_of(t),
+        parent_of,
+        max_pairs,
+    )
+}
+
+/// The paper's `createPT` as written: keyed by the materialized product
+/// `pa = Π_{A_L ∪ {a}}` (which refines `pl = Π_{A_L}`). The reference
+/// [`create_target_from_base`] is checked against.
+#[cfg(test)]
+fn create_target(
+    origin: RelId,
+    rhs: usize,
+    lhs: AttrSet,
+    pl: &Partition,
+    pa: &Partition,
+    parent_of: &[Tuple],
+    max_pairs: usize,
+) -> CreateOutcome {
+    let gm = GroupMap::new(pa);
+    create_target_keyed(
+        origin,
+        rhs,
+        lhs,
+        pl,
+        |t| gm.group_of(t),
         parent_of,
         max_pairs,
     )

@@ -12,10 +12,12 @@
 //! Decoding is strict and panic-free, on the shared [`xfd_hash::codec`]
 //! reader: truncation, trailing bytes and values that would later violate
 //! an invariant (a degenerate pair `a = a` would panic `PairSet::insert`)
-//! are all typed errors. A decode error on the coordinator merely forces
-//! the pass to recompute in process.
+//! are all typed errors. A task and an output each travel as one
+//! digest-checked record ([`seal`]), so a garbled one is an error too,
+//! never a different valid pass. A decode error on the coordinator merely
+//! forces the pass to recompute in process.
 
-use xfd_hash::codec::{put_bool, put_u128, put_u32, put_usize, CodecError, Reader};
+use xfd_hash::codec::{put_bool, put_record, put_u128, put_u32, put_usize, CodecError, Reader};
 use xfd_partition::{AttrSet, PairSet};
 use xfd_relation::{ComplexColumnMode, OrderMode, RelId, SetColumnMode};
 
@@ -73,7 +75,6 @@ pub fn encode_config(config: &DiscoveryConfig) -> Vec<u8> {
     put_bool(&mut out, config.keep_uninteresting);
     put_usize(&mut out, config.threads);
     put_opt_usize(&mut out, config.cache_budget);
-    put_bool(&mut out, config.error_only_kernel);
     out
 }
 
@@ -117,10 +118,26 @@ pub fn decode_config(bytes: &[u8]) -> Result<DiscoveryConfig, CodecError> {
         keep_uninteresting: r.bool()?,
         threads: r.usize()?,
         cache_budget: opt_usize(&mut r)?,
-        error_only_kernel: r.bool()?,
     };
     r.finish()?;
     Ok(config)
+}
+
+/// One pass block (a task or an output) as a single [`put_record`] record:
+/// its length, its bytes and their digest.
+pub(crate) fn seal(body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(body.len() + 20);
+    put_record(&mut out, body);
+    out
+}
+
+/// A reader over the body of a block written by [`seal`]: a block that is
+/// not exactly one record, or whose digest does not match, is an error.
+pub(crate) fn unseal(bytes: &[u8]) -> Result<Reader<'_>, CodecError> {
+    let mut outer = Reader::new(bytes);
+    let body = outer.record()?;
+    outer.finish()?;
+    Ok(Reader::new(body))
 }
 
 fn attrset_from_bits(bits: u128) -> AttrSet {
@@ -262,7 +279,7 @@ fn read_run_stats(r: &mut Reader<'_>) -> Result<RunStats, CodecError> {
     })
 }
 
-/// Serialize one relation pass's full output.
+/// Serialize one relation pass's full output, sealed as one record.
 pub(crate) fn encode_output(out: &RelationOutput) -> Vec<u8> {
     let mut b = Vec::with_capacity(256);
     put_u32(&mut b, out.local.rel.0);
@@ -295,12 +312,12 @@ pub(crate) fn encode_output(out: &RelationOutput) -> Vec<u8> {
     for t in &out.outgoing {
         put_target(&mut b, t);
     }
-    b
+    seal(&b)
 }
 
 /// Decode a relation-pass output encoded by [`encode_output`].
 pub(crate) fn decode_output(bytes: &[u8]) -> Result<RelationOutput, CodecError> {
-    let mut r = Reader::new(bytes);
+    let mut r = unseal(bytes)?;
     let rel = RelId(r.u32()?);
     let n_fds = r.count_u64(24)?;
     let mut fds = Vec::with_capacity(n_fds);
@@ -385,7 +402,6 @@ mod tests {
                 keep_uninteresting: true,
                 threads: 4,
                 cache_budget: Some(1 << 20),
-                error_only_kernel: false,
             },
         ]
     }
@@ -474,10 +490,10 @@ mod tests {
         assert_eq!(
             digests,
             [
-                "5cdf51b4d89e1a66ebe92fbd4de46165",
-                "ede0de3c5934796a080f0aebc19fb381",
-                "f399caae700c032c8cdea210d1520eb3",
-                "fc21929b74cb607011c4d7e0ab00c657",
+                "f4a7673602174444c01106609c57fe75",
+                "938f8a283378fe9124f1dde77b7174a8",
+                "1a2fc58047e2cc7b7807279943120b98",
+                "f0f99b31f7b6b34e95536e6f9bbe6bd9",
             ]
         );
     }
@@ -496,6 +512,23 @@ mod tests {
             decode_config(&trailing).err(),
             Some(CodecError::TrailingBytes)
         );
+    }
+
+    /// How many single-bit flips of `valid` still decode.
+    fn flips_that_decode<T>(
+        valid: &[u8],
+        decode: impl Fn(&[u8]) -> Result<T, CodecError>,
+    ) -> usize {
+        let mut dirty = valid.to_vec();
+        let mut decoded = 0;
+        for at in 0..valid.len() {
+            for bit in 0..8 {
+                dirty[at] ^= 1 << bit;
+                decoded += usize::from(decode(&dirty).is_ok());
+                dirty[at] ^= 1 << bit;
+            }
+        }
+        decoded
     }
 
     #[test]
@@ -520,6 +553,8 @@ mod tests {
         // normalization happened on the first encode already).
         assert_eq!(encode_output(&back), bytes);
         assert_eq!(check_garbled(&bytes, decode_output), Ok(()));
+        // Sealed as one record: a coordinator never merges a garbled pass.
+        assert_eq!(flips_that_decode(&bytes, decode_output), 0);
 
         let task = task_fixture();
         let bytes = task.encode_bytes();
@@ -529,6 +564,11 @@ mod tests {
         assert_eq!(
             check_garbled(&bytes, crate::memo::WaveTask::decode_bytes),
             Ok(())
+        );
+        // Nor does a worker run one.
+        assert_eq!(
+            flips_that_decode(&bytes, crate::memo::WaveTask::decode_bytes),
+            0
         );
     }
 }

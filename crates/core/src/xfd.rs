@@ -11,9 +11,7 @@ use xfd_relation::{Forest, RelId};
 use crate::config::DiscoveryConfig;
 use crate::intra::{IntraOptions, RunStats};
 use crate::lattice::{discover_levels, IntraFd};
-use crate::target::{
-    create_target, create_target_from_base, update_target, CreateOutcome, PartitionTarget,
-};
+use crate::target::{create_target_from_base, update_target, CreateOutcome, PartitionTarget};
 
 /// A discovered inter-relation FD, in raw (relation, attribute) form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,7 +218,7 @@ pub(crate) fn process_relation(
         use_rule2: false,
         empty_lhs: config.empty_lhs,
         cache_budget: config.cache_budget,
-        error_only_kernel: config.error_only_kernel,
+        ..IntraOptions::default()
     };
     let local = discover_levels(&columns, rel.n_tuples(), &opts, Some(&mut targets));
     RelationOutput {
@@ -324,8 +322,8 @@ impl<'a> TargetContext<'a> {
         ctx
     }
 
-    /// Incoming targets ride on this relation (the pass then runs the
-    /// materializing kernel).
+    /// Incoming targets ride on this relation: every node builds its full
+    /// partition to check them.
     pub(crate) fn has_incoming(&self) -> bool {
         !self.incoming.is_empty()
     }
@@ -413,24 +411,9 @@ impl<'a> TargetContext<'a> {
         }
     }
 
-    /// Figure 9 lines 34–37, materializing kernel: the failing edge
-    /// `al → rhs` (`pl = Π_{al}`, `pa = Π_{al ∪ {rhs}}`) becomes a target.
-    pub(crate) fn edge_failed(&mut self, rhs: usize, al: AttrSet, pl: &Partition, pa: &Partition) {
-        let outcome = create_target(
-            self.rel_id,
-            rhs,
-            al,
-            pl,
-            pa,
-            self.parent_of,
-            self.max_partition_targets,
-        );
-        self.push_created(outcome);
-    }
-
-    /// [`Self::edge_failed`] for the tiered kernel, which never builds the
-    /// node partition: the target is keyed by the RHS base partition
-    /// `base = Π_{rhs}` instead (same outcome, see `create_target_from_base`).
+    /// Figure 9 lines 34–37: the failing edge `al → rhs` (`pl = Π_{al}`)
+    /// becomes a target, keyed by the RHS base partition `base = Π_{rhs}`
+    /// rather than the node partition (see `create_target_from_base`).
     pub(crate) fn edge_failed_from_base(
         &mut self,
         rhs: usize,

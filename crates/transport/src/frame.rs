@@ -30,6 +30,11 @@
 //! document view and acks as in the first handshake. `Pass` carries the
 //! discovery configuration of the request it belongs to, and the batched
 //! `ForestShip` push is gone: partials travel as `Push` frames only.
+//!
+//! Version 6 drops the kernel flag from the `Plan`/`Pass` config, and the
+//! `Pass` task and the `TaskResult` output each become one digest-checked
+//! record, so a garbled pass is a decode error rather than a different
+//! valid one.
 
 use std::io::{self, Read, Write};
 
@@ -38,7 +43,7 @@ use xfd_hash::codec::{put_bytes, put_u128, put_u32, put_u64, CodecError, Reader}
 /// Protocol version, checked in the `Join` handshake. Bump on any frame
 /// layout change, including the layouts of the `Plan` config and `Pass`
 /// task payloads.
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Hard cap on one frame's payload (a partial of a very large segment
 /// stays far below this); anything bigger is a protocol violation, not an
@@ -476,7 +481,7 @@ mod tests {
         }
         assert_eq!(
             xfd_hash::format_digest(xfd_hash::digest_bytes(&wire)),
-            "44867ba2154d5da54223052e6936674a"
+            "fa2e44630c1f8ba6f5b3db6e42461729"
         );
     }
 

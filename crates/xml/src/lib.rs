@@ -38,7 +38,6 @@ pub mod path;
 pub mod query;
 pub mod reader;
 pub mod serialize;
-pub mod stream;
 pub mod tokenizer;
 pub mod tree;
 pub mod value_eq;

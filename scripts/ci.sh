@@ -69,18 +69,12 @@ echo "   served report matches batch CLI"
 
 # Tiered partition kernel: the default run must actually take the
 # error-only path (and its early exit — the warehouse data has invalid
-# candidates), and the report must be byte-identical to the materializing
-# escape hatch once the stats object is normalized (its work counters
-# legitimately differ between kernels — that is the whole point).
+# candidates). Its agreement with the materializing kernel is checked by
+# the test suite, where that kernel survives as an oracle.
 grep -Eq '"products_error_only": [1-9]' /tmp/ci-batch.json \
   || { echo "expected error-only products in the default discover run"; exit 1; }
 grep -Eq '"early_exits": [1-9]' /tmp/ci-batch.json \
   || { echo "expected early exits in the default discover run"; exit 1; }
-normalize_stats() { sed 's/"stats": {[^}]*}/"stats": X/'; }
-"$BIN" discover "$DOC" --json --no-error-only-kernel | normalize_stats > /tmp/ci-batch-mat.json
-normalize_stats < /tmp/ci-batch.json > /tmp/ci-batch-tiered.json
-cmp /tmp/ci-batch-tiered.json /tmp/ci-batch-mat.json \
-  || { echo "tiered report differs from --no-error-only-kernel"; exit 1; }
 # Threads only split a wave's relations across workers, so cross-thread
 # runs are byte-identical to the default, work counters included.
 for T in 2 8; do
@@ -88,7 +82,7 @@ for T in 2 8; do
   cmp /tmp/ci-batch.json /tmp/ci-batch-t"$T".json \
     || { echo "report drifted at --threads $T"; exit 1; }
 done
-echo "   tiered kernel engaged (early exits seen); parity with escape hatch and threads 2/8"
+echo "   tiered kernel engaged (early exits seen); parity at threads 2/8"
 
 # Second POST of the same document must be answered from the result cache.
 curl -sS -X POST --data-binary @"$DOC" "http://$ADDR/v1/discover" -o /dev/null -D /tmp/ci-headers.txt
