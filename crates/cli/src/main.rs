@@ -731,10 +731,10 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
             }
             println!(
                 "kernel: {} error-only products ({} early exits), {} materialized, {} summary hits",
-                status.kernel_products_error_only,
-                status.kernel_early_exits,
-                status.kernel_products_materialized,
-                status.kernel_summary_hits
+                status.kernel.products_error_only,
+                status.kernel.early_exits,
+                status.kernel.products_materialized,
+                status.kernel.summary_hits
             );
             Ok(())
         }

@@ -12,8 +12,9 @@ use crate::config::DiscoveryConfig;
 use crate::fd::{Xfd, XmlKey};
 use crate::interesting::classify;
 use crate::intra::RunStats;
+use crate::memo::{schedule_waves, MemoStats, PassRunner, RelationMemo, RelationProgress};
 use crate::redundancy::{analyze, Redundancy};
-use crate::xfd::{discover_forest, TargetStats};
+use crate::xfd::TargetStats;
 
 /// Wall-clock time spent in each phase.
 #[derive(Debug, Clone, Copy, Default)]
@@ -72,7 +73,7 @@ pub struct RunStatsBundle {
     /// Relation-memo counters for this run (hits/misses/evictions are the
     /// run's deltas; entries/residency the state afterwards). All zero for
     /// unmemoized runs.
-    pub memo: crate::memo::MemoStats,
+    pub memo: MemoStats,
 }
 
 /// One full pipeline run: the discovered artifacts plus the counters and
@@ -116,39 +117,9 @@ pub fn discover_with_schema(
     let t0 = Instant::now();
     let forest = encode(tree, schema, &config.encode);
     let encode_t = t0.elapsed();
-
-    let t1 = Instant::now();
-    let disc = discover_forest(&forest, config);
-    let discover_t = t1.elapsed();
-
-    let t2 = Instant::now();
-    let redundancies = analyze(&forest, &disc);
-    let redundancy_t = t2.elapsed();
-
-    let classified = classify(&forest, &disc, config.keep_uninteresting);
-    RunOutcome {
-        report: DiscoveryReport {
-            schema: schema.clone(),
-            fds: classified.fds,
-            keys: classified.keys,
-            uninteresting_fds: classified.uninteresting_fds,
-            uninteresting_keys: classified.uninteresting_keys,
-            redundancies,
-        },
-        stats: RunStatsBundle {
-            lattice: disc.lattice_stats,
-            targets: disc.target_stats,
-            forest: forest.stats(),
-            memo: crate::memo::MemoStats::default(),
-        },
-        profile: PhaseTimings {
-            merge: Duration::ZERO,
-            infer: Duration::ZERO,
-            encode: encode_t,
-            discover: discover_t,
-            redundancy: redundancy_t,
-        },
-    }
+    let mut outcome = discover_prepared_with(schema, &forest, config, None, |_| {}, None);
+    outcome.profile.encode = encode_t;
+    outcome
 }
 
 /// Encode only (exposed for benchmarks that need the forest itself).
@@ -186,75 +157,34 @@ pub fn merge_collection(trees: &[&DataTree]) -> DataTree {
     w.finish()
 }
 
-/// [`discover_collection`] with a relation-pass memo and per-relation
-/// progress callback: documents merge, the schema is re-inferred and the
-/// forest re-encoded every time (cheap, linear), but relation passes whose
-/// fingerprints are unchanged replay from `memo` instead of re-running the
-/// lattice traversal. Output is identical to [`discover_collection`] on
-/// the same documents and configuration, timings aside.
-pub fn discover_trees_with_memo(
-    trees: &[&DataTree],
-    config: &DiscoveryConfig,
-    memo: &mut crate::memo::RelationMemo,
-    progress: impl FnMut(crate::memo::RelationProgress<'_>),
-) -> RunOutcome {
-    let tm = Instant::now();
-    let merged = merge_collection(trees);
-    let merge_t = tm.elapsed();
-    let t0 = Instant::now();
-    let schema = infer_schema(&merged);
-    let infer = t0.elapsed();
-
-    let t1 = Instant::now();
-    let forest = encode(&merged, &schema, &config.encode);
-    let encode_t = t1.elapsed();
-
-    let mut outcome = discover_prepared(&schema, &forest, config, memo, progress);
-    outcome.profile.merge = merge_t;
-    outcome.profile.infer = infer;
-    outcome.profile.encode = encode_t;
-    outcome
-}
-
-/// The back half of the memoized pipeline: discovery + redundancy analysis
-/// over an *already encoded* forest. The sharded corpus path prepares the
-/// schema and forest itself (from per-segment caches, possibly in
-/// parallel) and calls this; `infer`/`encode` timings are left zero for
-/// the caller to fill.
-pub fn discover_prepared(
-    schema: &Schema,
-    forest: &Forest,
-    config: &DiscoveryConfig,
-    memo: &mut crate::memo::RelationMemo,
-    progress: impl FnMut(crate::memo::RelationProgress<'_>),
-) -> RunOutcome {
-    discover_prepared_with(schema, forest, config, memo, progress, None)
-}
-
-/// [`discover_prepared`] with an optional external
-/// [`PassRunner`](crate::memo::PassRunner) executing the relation passes
-/// that miss the memo (the cluster
-/// coordinator's hook); `None` computes every pass in process. A runner
-/// answer that fails to decode falls back to local computation, so the
-/// output never depends on who computed a pass.
+/// The back half of every pipeline run: discovery plus redundancy
+/// analysis and classification over an *already encoded* forest, assembled
+/// into the [`RunOutcome`]. With a `memo`, relation passes whose
+/// fingerprints are unchanged replay from it and the outcome carries the
+/// run's memo counters; with `None` nothing is fingerprinted. `runner`
+/// optionally executes the passes that miss the memo out of process (the
+/// cluster coordinator's hook); `None` computes every pass in process. A
+/// runner answer that fails to decode falls back to local computation, so
+/// the output never depends on who computed a pass. The `merge`, `infer`
+/// and `encode` timings are left zero for the caller to fill.
 pub fn discover_prepared_with(
     schema: &Schema,
     forest: &Forest,
     config: &DiscoveryConfig,
-    memo: &mut crate::memo::RelationMemo,
-    progress: impl FnMut(crate::memo::RelationProgress<'_>),
-    runner: Option<&mut dyn crate::memo::PassRunner>,
+    mut memo: Option<&mut RelationMemo>,
+    progress: impl FnMut(RelationProgress<'_>),
+    runner: Option<&mut dyn PassRunner>,
 ) -> RunOutcome {
-    let before = memo.stats();
+    let before = memo.as_deref().map(RelationMemo::stats).unwrap_or_default();
     let t2 = Instant::now();
-    let disc = crate::memo::discover_forest_memo_with(forest, config, memo, progress, runner);
+    let disc = schedule_waves(forest, config, memo.as_deref_mut(), progress, runner);
     let discover_t = t2.elapsed();
 
     let t3 = Instant::now();
     let redundancies = analyze(forest, &disc);
     let redundancy_t = t3.elapsed();
 
-    let after = memo.stats();
+    let after = memo.as_deref().map(RelationMemo::stats).unwrap_or_default();
     let classified = classify(forest, &disc, config.keep_uninteresting);
     RunOutcome {
         report: DiscoveryReport {
@@ -269,7 +199,7 @@ pub fn discover_prepared_with(
             lattice: disc.lattice_stats,
             targets: disc.target_stats,
             forest: forest.stats(),
-            memo: crate::memo::MemoStats {
+            memo: MemoStats {
                 hits: after.hits - before.hits,
                 misses: after.misses - before.misses,
                 evictions: after.evictions - before.evictions,

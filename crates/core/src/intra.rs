@@ -8,7 +8,7 @@
 //!
 //! The traversal itself is [`crate::lattice::discover_levels`], shared with
 //! `DiscoverXFD`'s per-relation pass; this module runs it with no
-//! inter-relation context and owns its options, counters and result types.
+//! inter-relation context and owns its options and result types.
 //! It runs on the caller's thread: parallelism lives one layer up, across
 //! the relations of a wave.
 
@@ -54,69 +54,8 @@ impl Default for IntraOptions {
     }
 }
 
-/// Work counters of one lattice traversal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Lattice nodes dequeued and processed.
-    pub nodes_visited: usize,
-    /// Nodes skipped at dequeue because a subset was already a key.
-    pub nodes_key_skipped: usize,
-    /// Partition products computed.
-    pub products: usize,
-    /// Partitions materialized (bases + products).
-    pub partitions_built: usize,
-    /// Highest lattice level processed.
-    pub max_level: usize,
-    /// Partition-cache hits (lookup of an already-resident partition).
-    pub cache_hits: usize,
-    /// Partition-cache misses (lookup that forced a build).
-    pub cache_misses: usize,
-    /// Partitions dropped by level eviction or the byte budget.
-    pub evictions: usize,
-    /// High-water mark of resident partition bytes.
-    pub peak_resident_bytes: usize,
-    /// Products answered by the error-only kernel (no CSR result built).
-    pub products_error_only: usize,
-    /// Products that materialized a full CSR partition.
-    pub products_materialized: usize,
-    /// Error-only products that stopped at the first provable violation.
-    pub early_exits: usize,
-    /// Lookups answered from the 16-byte summary tier.
-    pub summary_hits: usize,
-}
-
-impl RunStats {
-    /// Merge counters from another run (used to total over relations).
-    pub fn absorb(&mut self, other: &RunStats) {
-        self.nodes_visited += other.nodes_visited;
-        self.nodes_key_skipped += other.nodes_key_skipped;
-        self.products += other.products;
-        self.partitions_built += other.partitions_built;
-        self.max_level = self.max_level.max(other.max_level);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.evictions += other.evictions;
-        self.peak_resident_bytes = self.peak_resident_bytes.max(other.peak_resident_bytes);
-        self.products_error_only += other.products_error_only;
-        self.products_materialized += other.products_materialized;
-        self.early_exits += other.early_exits;
-        self.summary_hits += other.summary_hits;
-    }
-
-    /// Copy the partition-cache counters into this run's stats.
-    pub(crate) fn adopt_cache(&mut self, cs: &xfd_partition::CacheStats) {
-        self.products = cs.products;
-        self.partitions_built = cs.partitions_built;
-        self.cache_hits = cs.hits;
-        self.cache_misses = cs.misses;
-        self.evictions = cs.evictions;
-        self.peak_resident_bytes = cs.peak_resident_bytes;
-        self.products_error_only = cs.products_error_only;
-        self.products_materialized = cs.products_materialized;
-        self.early_exits = cs.early_exits;
-        self.summary_hits = cs.summary_hits;
-    }
-}
+/// Work counters of one lattice traversal, kept by its partition cache.
+pub use xfd_partition::RunStats;
 
 /// Output of [`discover_intra`]: minimal FDs and minimal keys, in attribute
 /// indices of the input table.

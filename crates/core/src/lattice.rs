@@ -282,15 +282,16 @@ pub(crate) fn discover_levels(
         let mut next_level: Vec<AttrSet> = Vec::new();
         for &a_set in &current {
             if prune.key_prune && result.covered_by_key(a_set) {
-                result.stats.nodes_key_skipped += 1;
+                cache.stats_mut().nodes_key_skipped += 1;
                 continue;
             }
             let cands = candidate_lhs(a_set, &result.fds, prune, opts.use_rule2, opts.empty_lhs);
             if a_set.len() > 1 && cands.is_empty() {
                 continue;
             }
-            result.stats.nodes_visited += 1;
-            result.stats.max_level = result.stats.max_level.max(a_set.len());
+            let stats = cache.stats_mut();
+            stats.nodes_visited += 1;
+            stats.max_level = stats.max_level.max(a_set.len());
 
             let is_key = if tiered {
                 tiered_node(
@@ -336,7 +337,7 @@ pub(crate) fn discover_levels(
         current = next_level;
         level += 1;
     }
-    result.stats.adopt_cache(&cache.stats());
+    result.stats = cache.stats();
     result
 }
 

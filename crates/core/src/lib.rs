@@ -72,13 +72,12 @@ pub mod xfd;
 
 pub use config::{DiscoveryConfig, PruneConfig};
 pub use driver::{
-    discover, discover_collection, discover_prepared, discover_prepared_with,
-    discover_trees_with_memo, discover_with_schema, merge_collection, DiscoveryReport,
-    PhaseTimings, RunOutcome, RunStatsBundle,
+    discover, discover_collection, discover_prepared_with, discover_with_schema, merge_collection,
+    DiscoveryReport, PhaseTimings, RunOutcome, RunStatsBundle,
 };
 pub use fd::{FdScope, Xfd, XmlKey};
 pub use memo::{
-    discover_forest_memo_with, run_task, task_in_bounds, MemoStats, PassRunner, RelationMemo,
+    discover_forest_memo, run_task, task_in_bounds, MemoStats, PassRunner, RelationMemo,
     RelationProgress, WaveTask,
 };
 pub use redundancy::Redundancy;

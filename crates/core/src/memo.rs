@@ -28,9 +28,9 @@
 //! which is this module's wave scheduler run without a memo.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use xfd_hash::codec::{put_u128, put_u32, put_usize, CodecError};
+use xfd_hash::fanout::map_ordered;
 use xfd_hash::{FxHashMap, WordDigest};
 use xfd_partition::{AttrSet, PairSet};
 use xfd_relation::{ColumnKind, Forest, RelId};
@@ -98,8 +98,8 @@ struct MemoEntry {
 }
 
 /// Cache of relation passes, keyed by content fingerprint. Owned by a
-/// [`CorpusHandle`-style](crate::driver::discover_trees_with_memo) caller
-/// and carried across discover runs.
+/// long-lived caller (a corpus handle) and carried across discover runs
+/// through [`crate::driver::discover_prepared_with`].
 ///
 /// The memo is size-bounded: give it a byte budget
 /// ([`RelationMemo::with_budget`]) and a least-recently-used sweep runs
@@ -410,10 +410,10 @@ fn relation_fingerprint(
 
 /// One queued relation pass of a wave in dispatchable form: everything a
 /// process holding a byte-identical forest needs to run the pass exactly
-/// as this one would. Produced by
-/// [`discover_forest_memo_with`] for its [`PassRunner`], shipped over the
-/// wire via [`WaveTask::encode_bytes`]/[`WaveTask::decode_bytes`], and
-/// executed by [`run_task`].
+/// as this one would. Produced by the wave scheduler for its
+/// [`PassRunner`], shipped over the wire via
+/// [`WaveTask::encode_bytes`]/[`WaveTask::decode_bytes`], and executed by
+/// [`run_task`].
 pub struct WaveTask {
     /// The relation to pass.
     pub rel: RelId,
@@ -471,7 +471,7 @@ pub fn task_in_bounds(forest: &Forest, task: &WaveTask) -> bool {
     (task.rel.index()) < forest.relations.len()
 }
 
-/// Executor hook for the misses of one wave: [`discover_forest_memo_with`]
+/// Executor hook for the misses of one wave: the wave scheduler
 /// hands every queued pass of the wave to the runner at once (they are
 /// independent — same relation-tree depth) and decodes the answers in task
 /// order. Entries that are `None` or fail to decode are recomputed in
@@ -497,55 +497,10 @@ struct WaveItem {
     cached: bool,
 }
 
-/// A memo miss queued for computation.
-struct WaveJob {
-    /// Index into the wave's `WaveItem` list.
-    item: usize,
-    rel: RelId,
-    key: Option<u128>,
-    incoming: Vec<PartitionTarget>,
-}
-
-/// Run the queued misses of one wave on a scoped worker pool draining a
-/// shared work queue, and return each output keyed by its wave-item index.
-/// A panicking pass propagates out of the pool.
-fn run_jobs_pooled(
-    forest: &Forest,
-    config: &DiscoveryConfig,
-    jobs: &[WaveJob],
-    workers: usize,
-) -> HashMap<usize, RelationOutput> {
-    let queue = AtomicUsize::new(0);
-    let mut computed: HashMap<usize, RelationOutput> = HashMap::with_capacity(jobs.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done: Vec<(usize, RelationOutput)> = Vec::new();
-                    loop {
-                        let j = queue.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(j) else { break };
-                        let out = process_relation(forest, job.rel, job.incoming.clone(), config);
-                        done.push((job.item, out));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(done) => computed.extend(done),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    computed
-}
-
 /// [`discover_forest`](crate::xfd::discover_forest) with a relation-pass
 /// memo and a progress callback. Memo hits replay immediately and bypass
-/// the queue; the misses of a multi-relation wave drain from a shared work
-/// queue on a pool of [`DiscoveryConfig::effective_threads`] workers.
+/// the queue; the misses of a multi-relation wave fan out over
+/// [`DiscoveryConfig::effective_threads`] workers.
 /// Results merge in wave order, so output and work counters never depend
 /// on the thread count. The callback fires once per relation, deepest wave
 /// first.
@@ -558,29 +513,12 @@ pub fn discover_forest_memo(
     schedule_waves(forest, config, Some(memo), progress, None)
 }
 
-/// [`discover_forest_memo`] with an optional [`PassRunner`] executing each
-/// wave's memo misses — the cluster coordinator's entry point. With
-/// `runner = None` the misses run on the in-process pool, byte-identically
-/// to [`discover_forest_memo`]; with a runner they are dispatched as
-/// [`WaveTask`]s and any answer that is missing or undecodable is
-/// recomputed in process, so the output never depends on who computed a
-/// pass. Memo hits always replay locally and never reach the runner.
-pub fn discover_forest_memo_with(
-    forest: &Forest,
-    config: &DiscoveryConfig,
-    memo: &mut RelationMemo,
-    progress: impl FnMut(RelationProgress<'_>),
-    runner: Option<&mut dyn PassRunner>,
-) -> ForestDiscovery {
-    schedule_waves(forest, config, Some(memo), progress, runner)
-}
-
 /// The one wave scheduler behind every forest traversal. Waves run
 /// deepest-first; each is fingerprinted up front (a wave member's parent
 /// lies in a shallower wave, so its incoming targets are final when the
-/// wave starts). Misses go to the runner when one is installed; else a
-/// wave's misses run on the pool when there are several of them and
-/// several threads, and on the caller's thread otherwise. Without a memo
+/// wave starts). Misses go to the runner when one is installed; else they
+/// fan out over the threads (`xfd_hash::fanout`), which runs them on the
+/// caller's thread when there is one of them or one thread. Without a memo
 /// and a runner nothing is fingerprinted: the keys would go unused, and
 /// hashing every cell is real cost on large relations.
 pub(crate) fn schedule_waves(
@@ -616,7 +554,8 @@ pub(crate) fn schedule_waves(
     for wave in waves.into_iter().rev() {
         // Fingerprint the whole wave, replaying hits as they surface.
         let mut items: Vec<WaveItem> = Vec::with_capacity(wave.len());
-        let mut jobs: Vec<WaveJob> = Vec::new();
+        // The memo misses, in wave order, as the tasks a runner receives.
+        let mut jobs: Vec<WaveTask> = Vec::new();
         for rel_id in wave {
             let incoming = inbox.remove(&rel_id).unwrap_or_default();
             let key = base.map(|b| relation_fingerprint(forest, rel_id, &incoming, b));
@@ -625,10 +564,10 @@ pub(crate) fn schedule_waves(
                 _ => None,
             };
             if hit.is_none() {
-                jobs.push(WaveJob {
-                    item: items.len(),
+                jobs.push(WaveTask {
                     rel: rel_id,
-                    key,
+                    // Always fingerprinted when a runner is installed.
+                    key: key.unwrap_or_default(),
                     incoming,
                 });
             }
@@ -640,59 +579,41 @@ pub(crate) fn schedule_waves(
             });
         }
 
-        let mut computed: HashMap<usize, RelationOutput> = match runner.as_deref_mut() {
+        // One output per job, in job order.
+        let computed: Vec<RelationOutput> = match runner.as_deref_mut() {
             Some(r) if !jobs.is_empty() => {
-                let item_of: Vec<usize> = jobs.iter().map(|j| j.item).collect();
-                let tasks: Vec<WaveTask> = jobs
-                    .drain(..)
-                    .map(|job| WaveTask {
-                        rel: job.rel,
-                        // Always fingerprinted: a runner is installed.
-                        key: job.key.unwrap_or_default(),
-                        incoming: job.incoming,
+                let answers = r.run_wave(forest, config, &jobs);
+                jobs.into_iter()
+                    .enumerate()
+                    .map(|(i, task)| {
+                        answers
+                            .get(i)
+                            .and_then(|a| a.as_deref())
+                            .and_then(|bytes| crate::wire::decode_output(bytes).ok())
+                            // A forged relation id could route results to
+                            // the wrong pass; recompute instead.
+                            .filter(|out| out.local.rel == task.rel)
+                            .unwrap_or_else(|| {
+                                process_relation(forest, task.rel, task.incoming, config)
+                            })
                     })
-                    .collect();
-                let answers = r.run_wave(forest, config, &tasks);
-                let mut done = HashMap::with_capacity(tasks.len());
-                for (i, task) in tasks.into_iter().enumerate() {
-                    let decoded = answers
-                        .get(i)
-                        .and_then(|a| a.as_deref())
-                        .and_then(|bytes| crate::wire::decode_output(bytes).ok())
-                        // A forged relation id could route results to the
-                        // wrong pass; recompute instead.
-                        .filter(|out| out.local.rel == task.rel);
-                    let out = match decoded {
-                        Some(out) => out,
-                        None => process_relation(forest, task.rel, task.incoming, config),
-                    };
-                    if let Some(&item) = item_of.get(i) {
-                        done.insert(item, out);
-                    }
-                }
-                done
+                    .collect()
             }
-            _ if threads > 1 && jobs.len() > 1 => {
-                run_jobs_pooled(forest, config, &jobs, threads.min(jobs.len()))
-            }
-            _ => jobs
-                .drain(..)
-                .map(|job| {
-                    let out = process_relation(forest, job.rel, job.incoming, config);
-                    (job.item, out)
-                })
-                .collect(),
+            _ => map_ordered(jobs, threads, |task| {
+                process_relation(forest, task.rel, task.incoming, config)
+            }),
         };
+        let mut computed = computed.into_iter();
 
         // Merge in wave order: memo updates, progress events, target
         // routing and counters are all independent of how (and on how many
         // threads) the passes ran.
-        for (idx, item) in items.into_iter().enumerate() {
+        for item in items {
             let rel_id = item.rel;
-            let mut result = match item.result.or_else(|| computed.remove(&idx)) {
+            let mut result = match item.result.or_else(|| computed.next()) {
                 Some(r) => r,
                 // Unreachable: every item is either a replayed hit or a
-                // queued job whose output landed under its index.
+                // miss whose job output comes next.
                 None => continue,
             };
             if let (Some(memo), Some(key)) = (memo.as_deref_mut(), item.key) {
@@ -711,10 +632,7 @@ pub(crate) fn schedule_waves(
             out.inter_fds.append(&mut result.inter_fds);
             out.inter_keys.append(&mut result.inter_keys);
             out.lattice_stats.absorb(&result.lattice);
-            out.target_stats.created += result.targets.created;
-            out.target_stats.propagated += result.targets.propagated;
-            out.target_stats.dropped_impossible += result.targets.dropped_impossible;
-            out.target_stats.dropped_overflow += result.targets.dropped_overflow;
+            out.target_stats.absorb(&result.targets);
             out.relations.push(result.local);
             if let Some(parent) = forest.relation(rel_id).parent {
                 let mut outgoing = result.outgoing;
@@ -990,11 +908,11 @@ mod tests {
             },
         ] {
             let mut local_memo = RelationMemo::new();
-            let local = discover_forest_memo_with(&forest, &config, &mut local_memo, |_| {}, None);
+            let local = schedule_waves(&forest, &config, Some(&mut local_memo), |_| {}, None);
             let mut runner = WireRunner { waves: 0, tasks: 0 };
             let mut memo = RelationMemo::new();
             let remote =
-                discover_forest_memo_with(&forest, &config, &mut memo, |_| {}, Some(&mut runner));
+                schedule_waves(&forest, &config, Some(&mut memo), |_| {}, Some(&mut runner));
             assert_same(&local, &remote);
             assert_eq!(
                 runner.tasks,
@@ -1004,8 +922,7 @@ mod tests {
             assert_eq!(memo.misses(), local_memo.misses());
             // Warm rerun: hits replay locally, the runner sees nothing.
             let mut idle = WireRunner { waves: 0, tasks: 0 };
-            let warm =
-                discover_forest_memo_with(&forest, &config, &mut memo, |_| {}, Some(&mut idle));
+            let warm = schedule_waves(&forest, &config, Some(&mut memo), |_| {}, Some(&mut idle));
             assert_same(&remote, &warm);
             assert_eq!(idle.tasks, 0, "memo hits never reach the runner");
         }
@@ -1056,11 +973,16 @@ mod tests {
         let forest = forest_of(DOC);
         let config = DiscoveryConfig::default();
         let mut memo_a = RelationMemo::new();
-        let local = discover_forest_memo_with(&forest, &config, &mut memo_a, |_| {}, None);
+        let local = schedule_waves(&forest, &config, Some(&mut memo_a), |_| {}, None);
         let mut flaky = FlakyRunner { n: 0 };
         let mut memo_b = RelationMemo::new();
-        let out =
-            discover_forest_memo_with(&forest, &config, &mut memo_b, |_| {}, Some(&mut flaky));
+        let out = schedule_waves(
+            &forest,
+            &config,
+            Some(&mut memo_b),
+            |_| {},
+            Some(&mut flaky),
+        );
         assert_same(&local, &out);
         assert_eq!(memo_a.misses(), memo_b.misses());
     }

@@ -58,6 +58,16 @@ pub struct TargetStats {
     pub dropped_overflow: usize,
 }
 
+impl TargetStats {
+    /// Add another pass's counters.
+    pub fn absorb(&mut self, other: &TargetStats) {
+        self.created += other.created;
+        self.propagated += other.propagated;
+        self.dropped_impossible += other.dropped_impossible;
+        self.dropped_overflow += other.dropped_overflow;
+    }
+}
+
 /// Full output of the forest traversal.
 #[derive(Debug)]
 pub struct ForestDiscovery {

@@ -42,6 +42,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use discoverxfd::intra::RunStats;
 use discoverxfd::memo::{PassRunner, RelationMemo, RelationProgress};
 use discoverxfd::{discover_prepared_with, DiscoveryConfig, RunOutcome};
 use xfd_hash::codec::CodecError;
@@ -249,15 +250,10 @@ pub struct CorpusStatus {
     /// Whether the merged forest for the current corpus state is cached
     /// (the next same-config `discover` skips merge+infer+encode).
     pub forest_cached: bool,
-    /// Lifetime error-only (validation) partition products across discover
-    /// runs on this handle.
-    pub kernel_products_error_only: u64,
-    /// Lifetime fully-materialized partition products.
-    pub kernel_products_materialized: u64,
-    /// Lifetime early exits taken by the error-only kernel.
-    pub kernel_early_exits: u64,
-    /// Lifetime lattice-node answers served from the summary tier.
-    pub kernel_summary_hits: u64,
+    /// Lifetime lattice and partition-kernel counters, summed over every
+    /// discover run on this handle (passes replayed from the memo count
+    /// their recorded work).
+    pub kernel: RunStats,
 }
 
 /// Per-segment derived state, keyed by the segment's content digest so
@@ -440,12 +436,8 @@ pub struct CorpusHandle {
     seg_cache: HashMap<u128, SegCacheEntry>,
     forest_cache: Option<ForestCache>,
     readonly: bool,
-    /// Lifetime partition-kernel counters, summed over every discover run
-    /// on this handle (including stats replayed from the memo).
-    kernel_products_error_only: u64,
-    kernel_products_materialized: u64,
-    kernel_early_exits: u64,
-    kernel_summary_hits: u64,
+    /// Lifetime counters of every discover run on this handle.
+    kernel: RunStats,
 }
 
 impl CorpusHandle {
@@ -475,10 +467,7 @@ impl CorpusHandle {
             seg_cache: HashMap::new(),
             forest_cache: None,
             readonly,
-            kernel_products_error_only: 0,
-            kernel_products_materialized: 0,
-            kernel_early_exits: 0,
-            kernel_summary_hits: 0,
+            kernel: RunStats::default(),
         }
     }
 
@@ -984,19 +973,14 @@ impl CorpusHandle {
             &prepared.schema,
             &prepared.forest,
             config,
-            &mut self.memo,
+            Some(&mut self.memo),
             progress,
             runner,
         );
         outcome.profile.merge = prepared.merge;
         outcome.profile.infer = prepared.infer;
         outcome.profile.encode = prepared.encode;
-        // Lifetime kernel counters for `corpus status` / the server's
-        // corpus JSON (replayed passes contribute their recorded stats).
-        self.kernel_products_error_only += outcome.stats.lattice.products_error_only as u64;
-        self.kernel_products_materialized += outcome.stats.lattice.products_materialized as u64;
-        self.kernel_early_exits += outcome.stats.lattice.early_exits as u64;
-        self.kernel_summary_hits += outcome.stats.lattice.summary_hits as u64;
+        self.kernel.absorb(&outcome.stats.lattice);
         // Entries from superseded corpus states can never hit again.
         self.memo.prune_stale();
         outcome
@@ -1034,10 +1018,7 @@ impl CorpusHandle {
                 .forest_cache
                 .as_ref()
                 .is_some_and(|fc| fc.generation == self.generation),
-            kernel_products_error_only: self.kernel_products_error_only,
-            kernel_products_materialized: self.kernel_products_materialized,
-            kernel_early_exits: self.kernel_early_exits,
-            kernel_summary_hits: self.kernel_summary_hits,
+            kernel: self.kernel,
         }
     }
 }
@@ -1360,6 +1341,44 @@ mod tests {
             render_stable(&staged),
             render_stable(&cold.discover(&config))
         );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// `status()` totals the kernel counters of every discover run on the
+    /// handle, a run replayed from the memo included.
+    #[test]
+    fn status_kernel_counters_total_every_discover_run() {
+        let root = tmp_root("kernel-total");
+        let store = CorpusStore::new(&root);
+        let mut c = store.create("c").unwrap();
+        let config = DiscoveryConfig::default();
+        for d in 0..2u64 {
+            let rows: String = (0..10u64)
+                .map(|i| {
+                    let v = i * 7 + d;
+                    format!("<r><a>{}</a><b>{}</b><c>{}</c></r>", v % 3, v % 4, v % 5)
+                })
+                .collect();
+            c.add_doc(&format!("d{d}"), &parse(&format!("<t>{rows}</t>")).unwrap())
+                .unwrap();
+        }
+        let cold = c.discover(&config);
+        let warm = c.discover(&config);
+        assert_eq!(warm.stats.memo.misses, 0, "every pass replays");
+        assert!(warm.stats.memo.hits > 0);
+        let (a, b) = (&cold.stats.lattice, &warm.stats.lattice);
+        assert!(a.products_error_only > 0, "{a:?}");
+        let s = c.status().kernel;
+        assert_eq!(
+            s.products_error_only,
+            a.products_error_only + b.products_error_only
+        );
+        assert_eq!(
+            s.products_materialized,
+            a.products_materialized + b.products_materialized
+        );
+        assert_eq!(s.early_exits, a.early_exits + b.early_exits);
+        assert_eq!(s.summary_hits, a.summary_hits + b.summary_hits);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -10,14 +10,16 @@
 //! property buys anything. [`FxHasher`] is the Firefox multiply-rotate
 //! construction: one rotate, one xor and one multiply per word, fully
 //! deterministic across runs and platforms (important for reproducible
-//! discovery statistics and stable shard assignment).
+//! discovery statistics).
 //!
 //! Beside it: [`content`] and [`word`], the 128-bit digests that address
-//! stored and cached content, and [`codec`], the byte-format layer every
-//! stored or shipped block is written and read with.
+//! stored and cached content; [`codec`], the byte-format layer every
+//! stored or shipped block is written and read with; and [`fanout`], the
+//! one ordered worker-pool fan-out.
 
 pub mod codec;
 pub mod content;
+pub mod fanout;
 pub mod word;
 
 pub use content::{digest_bytes, format_digest, parse_digest, ContentDigest, DigestReader};
@@ -107,14 +109,6 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
-/// Hash one `u64` without constructing a map — used for shard selection.
-#[inline]
-pub fn fx_hash_u64(v: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(v);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +152,7 @@ mod tests {
         // into a few buckets.
         let mut buckets = [0usize; 16];
         for i in 0..16_000u64 {
-            buckets[(fx_hash_u64(i) & 15) as usize] += 1;
+            buckets[(hash_of(&i) & 15) as usize] += 1;
         }
         for (i, &count) in buckets.iter().enumerate() {
             assert!(

@@ -94,15 +94,6 @@ impl AttrSet {
     pub fn iter(self) -> AttrIter {
         AttrIter(self.0)
     }
-
-    /// Deterministic shard index in `[0, n_shards)` for the sharded
-    /// partition cache. Mixes both halves of the bitset through the
-    /// workspace FxHash so adjacent lattice nodes spread across shards.
-    pub fn shard(self, n_shards: usize) -> usize {
-        debug_assert!(n_shards > 0);
-        let mixed = xfd_hash::fx_hash_u64((self.0 as u64) ^ ((self.0 >> 64) as u64).rotate_left(1));
-        (mixed % n_shards as u64) as usize
-    }
 }
 
 impl FromIterator<usize> for AttrSet {
@@ -193,26 +184,6 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn attribute_128_panics() {
         let _ = AttrSet::single(128);
-    }
-
-    #[test]
-    fn shards_are_stable_and_in_range() {
-        for n_shards in [1usize, 2, 8, 16] {
-            for bits in 0..200u128 {
-                let s = AttrSet(bits);
-                let shard = s.shard(n_shards);
-                assert!(shard < n_shards);
-                assert_eq!(shard, s.shard(n_shards), "shard must be deterministic");
-            }
-        }
-        // High-half bits must influence the shard.
-        let lo = AttrSet::single(3);
-        let hi = AttrSet::single(120);
-        assert!(
-            (0..64).any(|k| AttrSet::single(k).shard(16) != lo.shard(16))
-                || hi.shard(16) != lo.shard(16),
-            "shard function ignores its input"
-        );
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! Memoized partitions per attribute set: sharded, memory-bounded, with
-//! traversal and residency counters.
+//! Memoized partitions per attribute set: memory-bounded, with traversal
+//! and residency counters.
 //!
 //! The lattice algorithms construct `Π_A` for many attribute sets `A`; the
 //! cache avoids recomputation when several lattice edges need the same
-//! partition and exposes the counters the pruning-ablation experiment
-//! (reconstructed Figure 7) reports.
-//!
-//! ## Shards
-//!
-//! Entries live in [`N_SHARDS`] independent FxHash maps selected by
-//! [`AttrSet::shard`]. Sharding keeps per-map probe chains short on wide
-//! lattices.
+//! partition and counts the work into the one [`RunStats`] of its
+//! traversal, the counters the pruning-ablation experiment (reconstructed
+//! Figure 7) reports. Each lattice owns its cache on one thread, so entries
+//! live in one FxHash map.
 //!
 //! ## Memory bound and eviction
 //!
@@ -28,25 +24,30 @@ use crate::attrset::AttrSet;
 use crate::partition::{ErrorOnlyProduct, GroupMap, Partition, PartitionSummary};
 use crate::scratch::ProductScratch;
 
-/// Number of cache shards (power of two).
-pub const N_SHARDS: usize = 16;
-
 /// Accounted bytes per summary-tier entry: the [`PartitionSummary`]
 /// payload plus its `AttrSet` key.
 pub const SUMMARY_BYTES: usize = 32;
 
-/// Counters describing how much work a lattice traversal did and how much
-/// memory its partitions held.
+/// Work counters of one lattice traversal: the node counters its level
+/// loop keeps and the partition counters its [`PartitionCache`] keeps, in
+/// one value. Every total over several traversals (a forest, a corpus
+/// handle's lifetime, a server's) is a `RunStats` fed by [`Self::absorb`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lattice nodes whose partition was materialized.
-    pub partitions_built: usize,
+pub struct RunStats {
+    /// Lattice nodes dequeued and processed.
+    pub nodes_visited: usize,
+    /// Nodes skipped at dequeue because a subset was already a key.
+    pub nodes_key_skipped: usize,
     /// Partition products computed.
     pub products: usize,
-    /// Cache hits (partition already present).
-    pub hits: usize,
-    /// Cache misses (lookup of an absent partition that forced a build).
-    pub misses: usize,
+    /// Partitions materialized (bases + products).
+    pub partitions_built: usize,
+    /// Highest lattice level processed.
+    pub max_level: usize,
+    /// Partition-cache hits (lookup of an already-resident partition).
+    pub cache_hits: usize,
+    /// Partition-cache misses (lookup that forced a build).
+    pub cache_misses: usize,
     /// Partitions dropped by level eviction or the byte budget.
     pub evictions: usize,
     /// High-water mark of resident partition bytes.
@@ -61,14 +62,34 @@ pub struct CacheStats {
     pub summary_hits: usize,
 }
 
-/// A sharded memo table `AttrSet → Partition` with an optional byte budget.
+impl RunStats {
+    /// Add another run's counters: work sums, while the highest level and
+    /// the peak residency are maxima.
+    pub fn absorb(&mut self, other: &RunStats) {
+        self.nodes_visited += other.nodes_visited;
+        self.nodes_key_skipped += other.nodes_key_skipped;
+        self.products += other.products;
+        self.partitions_built += other.partitions_built;
+        self.max_level = self.max_level.max(other.max_level);
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.evictions += other.evictions;
+        self.peak_resident_bytes = self.peak_resident_bytes.max(other.peak_resident_bytes);
+        self.products_error_only += other.products_error_only;
+        self.products_materialized += other.products_materialized;
+        self.early_exits += other.early_exits;
+        self.summary_hits += other.summary_hits;
+    }
+}
+
+/// A memo table `AttrSet → Partition` with an optional byte budget.
 #[derive(Debug)]
 pub struct PartitionCache {
-    shards: [FxHashMap<AttrSet, Partition>; N_SHARDS],
+    partitions: FxHashMap<AttrSet, Partition>,
     /// Summary tier: 16-byte digests for attribute sets whose full CSR
     /// partition was never materialized (validation-only lattice nodes).
     summaries: FxHashMap<AttrSet, PartitionSummary>,
-    stats: CacheStats,
+    stats: RunStats,
     resident_bytes: usize,
     budget_bytes: Option<usize>,
     scratch: ProductScratch,
@@ -84,9 +105,9 @@ pub struct PartitionCache {
 impl Default for PartitionCache {
     fn default() -> Self {
         PartitionCache {
-            shards: std::array::from_fn(|_| FxHashMap::default()),
+            partitions: FxHashMap::default(),
             summaries: FxHashMap::default(),
-            stats: CacheStats::default(),
+            stats: RunStats::default(),
             resident_bytes: 0,
             budget_bytes: None,
             scratch: ProductScratch::new(),
@@ -109,10 +130,6 @@ impl PartitionCache {
             budget_bytes,
             ..PartitionCache::default()
         }
-    }
-
-    fn shard(&self, attrs: AttrSet) -> usize {
-        attrs.shard(N_SHARDS)
     }
 
     /// Insert a base partition (single attribute or `Π_∅`).
@@ -139,9 +156,8 @@ impl PartitionCache {
         if self.summaries.remove(&attrs).is_some() {
             self.resident_bytes -= SUMMARY_BYTES;
         }
-        let shard = self.shard(attrs);
         let bytes = partition.heap_bytes();
-        if let Some(old) = self.shards[shard].insert(attrs, partition) {
+        if let Some(old) = self.partitions.insert(attrs, partition) {
             self.resident_bytes -= old.heap_bytes();
         }
         self.resident_bytes += bytes;
@@ -160,9 +176,8 @@ impl PartitionCache {
     fn enforce_budget(&mut self, keep: AttrSet) {
         let budget = self.budget_bytes.expect("called only with a budget");
         let mut victims: Vec<(usize, u128, AttrSet)> = self
-            .shards
-            .iter()
-            .flat_map(|m| m.keys())
+            .partitions
+            .keys()
             .filter(|k| k.len() >= 2 && **k != keep)
             .map(|k| (k.len(), k.bits(), *k))
             .collect();
@@ -171,8 +186,7 @@ impl PartitionCache {
             if self.resident_bytes <= budget {
                 break;
             }
-            let shard = self.shard(key);
-            if let Some(old) = self.shards[shard].remove(&key) {
+            if let Some(old) = self.partitions.remove(&key) {
                 self.resident_bytes -= old.heap_bytes();
                 self.stats.evictions += 1;
             }
@@ -181,15 +195,14 @@ impl PartitionCache {
 
     /// Lookup.
     pub fn get(&self, attrs: AttrSet) -> Option<&Partition> {
-        self.shards[self.shard(attrs)].get(&attrs)
+        self.partitions.get(&attrs)
     }
 
     /// Remove and return `Π_{attrs}`. Not an eviction: the caller takes
     /// ownership (typically to pin the partition across inserts that could
     /// evict it under a byte budget) and usually [`Self::adopt`]s it back.
     pub fn take(&mut self, attrs: AttrSet) -> Option<Partition> {
-        let shard = self.shard(attrs);
-        let taken = self.shards[shard].remove(&attrs);
+        let taken = self.partitions.remove(&attrs);
         if let Some(p) = &taken {
             self.resident_bytes -= p.heap_bytes();
         }
@@ -207,9 +220,9 @@ impl PartitionCache {
 
     /// Is a partition cached for `attrs`?
     pub fn contains(&mut self, attrs: AttrSet) -> bool {
-        let hit = self.shards[self.shard(attrs)].contains_key(&attrs);
+        let hit = self.partitions.contains_key(&attrs);
         if hit {
-            self.stats.hits += 1;
+            self.stats.cache_hits += 1;
         }
         hit
     }
@@ -220,11 +233,10 @@ impl PartitionCache {
     /// Panics if `Π_a` or `Π_b` is not already cached.
     pub fn product(&mut self, a: AttrSet, b: AttrSet) -> &Partition {
         let target = a.union(b);
-        let shard = self.shard(target);
-        if !self.shards[shard].contains_key(&target) {
-            self.stats.misses += 1;
-            // Move the scratch out so the operand borrows (into the shard
-            // maps) and the scratch borrow don't alias through `self`.
+        if !self.partitions.contains_key(&target) {
+            self.stats.cache_misses += 1;
+            // Move the scratch out so the operand borrows (into the map)
+            // and the scratch borrow don't alias through `self`.
             let mut scratch = std::mem::take(&mut self.scratch);
             let pa = self.get(a).expect("operand partition must be cached");
             let pb = self.get(b).expect("operand partition must be cached");
@@ -235,7 +247,7 @@ impl PartitionCache {
             self.stats.partitions_built += 1;
             self.account_insert(target, prod);
         } else {
-            self.stats.hits += 1;
+            self.stats.cache_hits += 1;
         }
         self.get(target).expect("just inserted")
     }
@@ -289,8 +301,9 @@ impl PartitionCache {
                 .expect("base partition must be cached");
             self.base_maps[attr] = Some(GroupMap::new(base));
         }
-        // Move the scratch and map out so the parent borrow (into the shard
-        // maps) and the mutable scratch borrow don't alias through `self`.
+        // Move the scratch and map out so the parent borrow (into the
+        // partition map) and the mutable scratch borrow don't alias
+        // through `self`.
         let mut scratch = std::mem::take(&mut self.scratch);
         let map = self.base_maps[attr].take().expect("just built");
         let pa = self.get(parent).expect("parent partition must be cached");
@@ -326,17 +339,15 @@ impl PartitionCache {
     pub fn evict_below(&mut self, level: usize) {
         let mut freed = 0usize;
         let mut evicted = 0usize;
-        for shard in &mut self.shards {
-            shard.retain(|k, v| {
-                let n = k.len();
-                let keep = n <= 1 || n > level;
-                if !keep {
-                    freed += v.heap_bytes();
-                    evicted += 1;
-                }
-                keep
-            });
-        }
+        self.partitions.retain(|k, v| {
+            let n = k.len();
+            let keep = n <= 1 || n > level;
+            if !keep {
+                freed += v.heap_bytes();
+                evicted += 1;
+            }
+            keep
+        });
         let mut freed_summaries = 0usize;
         self.summaries.retain(|k, _| {
             let n = k.len();
@@ -351,8 +362,14 @@ impl PartitionCache {
     }
 
     /// Work counters so far.
-    pub fn stats(&self) -> CacheStats {
+    pub fn stats(&self) -> RunStats {
         self.stats
+    }
+
+    /// The counters, for the traversal that owns this cache to count its
+    /// lattice nodes into.
+    pub fn stats_mut(&mut self) -> &mut RunStats {
+        &mut self.stats
     }
 
     /// Bytes of partition payload currently resident.
@@ -367,12 +384,12 @@ impl PartitionCache {
 
     /// Number of cached partitions.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(FxHashMap::len).sum()
+        self.partitions.len()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(FxHashMap::is_empty)
+        self.partitions.is_empty()
     }
 }
 
@@ -400,8 +417,8 @@ mod tests {
         let before = c.stats().products;
         let _ = c.product(a, b);
         assert_eq!(c.stats().products, before);
-        assert!(c.stats().hits >= 1);
-        assert_eq!(c.stats().misses, 1);
+        assert!(c.stats().cache_hits >= 1);
+        assert_eq!(c.stats().cache_misses, 1);
     }
 
     #[test]

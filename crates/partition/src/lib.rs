@@ -13,9 +13,12 @@
 //! * [`PairSet`] — sets of tuple-pair *inequalities*, the building block of
 //!   the paper's partition targets (`FDTarget` / `KeyTarget`, Figure 10),
 //!   with the parent-index mapping of `updatePT`;
-//! * [`PartitionCache`] — sharded, memory-bounded memoization of
-//!   partitions per attribute set, with the visit/product/residency
-//!   counters used by the pruning-ablation experiment;
+//! * [`PartitionCache`] — memory-bounded memoization of partitions per
+//!   attribute set, counting its work into [`RunStats`];
+//! * [`RunStats`] — the work counters of one lattice traversal (nodes,
+//!   products, cache hits, evictions, residency), the one value every
+//!   report, status and metrics total is summed from; used by the
+//!   pruning-ablation experiment;
 //! * [`ProductScratch`] — reusable per-worker buffers making partition
 //!   construction and products allocation-free in steady state.
 //!
@@ -32,7 +35,7 @@ pub mod partition;
 pub mod scratch;
 
 pub use attrset::AttrSet;
-pub use cache::{CacheStats, PartitionCache};
+pub use cache::{PartitionCache, RunStats};
 pub use pairs::{Collapse, PairSet};
 pub use partition::{ErrorOnlyProduct, GroupMap, Groups, Partition, PartitionSummary, Tuple};
 pub use scratch::ProductScratch;

@@ -28,10 +28,10 @@
 //! columns, added by [`add_set_columns`] exactly as the serial encoder
 //! adds them.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use xfd_hash::codec::{put_bytes, put_u32, put_u64, CodecError, Reader};
+use xfd_hash::fanout::map_ordered;
 use xfd_schema::{Schema, SchemaMap};
 use xfd_xml::{preorder_of, DataTree, EqClasses, NodeId, ShapeCons, ValueClassId};
 
@@ -474,8 +474,7 @@ pub fn merge_partials(map: SchemaMap, config: &EncodeConfig, parts: &[&SegmentPa
 }
 
 /// Encode a document collection by sharding over segments: build one
-/// [`SegmentPartial`] per document — on a `std::thread::scope` pool when
-/// `threads > 1` — and merge. Produces the same forest as serially
+/// [`SegmentPartial`] per document — on `threads` workers — and merge. Produces the same forest as serially
 /// encoding the grafted collection tree, for every thread count.
 pub fn encode_collection(
     trees: &[&DataTree],
@@ -489,44 +488,16 @@ pub fn encode_collection(
     merge_partials(map, config, &refs)
 }
 
-/// Build one partial per tree, fanning out over a scoped worker pool.
+/// Build one partial per tree, fanning out over `threads` workers.
 pub fn build_partials(
     trees: &[&DataTree],
     map: &SchemaMap,
     config: &EncodeConfig,
     threads: usize,
 ) -> Vec<SegmentPartial> {
-    let workers = threads.min(trees.len());
-    if workers <= 1 {
-        return trees
-            .iter()
-            .map(|t| build_partial(t, map, config))
-            .collect();
-    }
-    let slots: Vec<OnceLock<SegmentPartial>> = (0..trees.len()).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(tree) = trees.get(i) else { break };
-                let partial = build_partial(tree, map, config);
-                if let Some(slot) = slots.get(i) {
-                    slot.set(partial).ok();
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .zip(trees)
-        .map(|(slot, tree)| {
-            // A worker fills every slot it claims; rebuilding serially on a
-            // missed slot keeps the invariant violation from panicking.
-            slot.into_inner()
-                .unwrap_or_else(|| build_partial(tree, map, config))
-        })
-        .collect()
+    map_ordered(trees.to_vec(), threads, |tree| {
+        build_partial(tree, map, config)
+    })
 }
 
 /// Magic prefix of an encoded [`SegmentPartial`] ("XFD segment partial,

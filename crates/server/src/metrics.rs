@@ -3,15 +3,17 @@
 //! Scalar counters live in atomics; the few labeled families
 //! (endpoint×status request counts, rejection reasons, job outcomes) live
 //! in mutexed `BTreeMap`s so `/metrics` renders with a deterministic label
-//! order. Gauges owned by other subsystems (queue depth, in-flight jobs,
-//! result-cache residency) are sampled at render time rather than
-//! duplicated here.
+//! order, and the lattice totals are one mutexed `RunStats`, the counter
+//! value every report and status renders from. Gauges owned by other
+//! subsystems (queue depth, in-flight jobs, result-cache residency) are
+//! sampled at render time rather than duplicated here.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use discoverxfd::intra::RunStats;
 use discoverxfd::RunOutcome;
 
 use crate::rescache::ResultCacheStats;
@@ -48,19 +50,8 @@ pub struct Metrics {
     stage_encode_us: AtomicU64,
     stage_discover_us: AtomicU64,
     stage_redundancy_us: AtomicU64,
-    // Lattice totals over all runs.
-    lattice_nodes: AtomicU64,
-    lattice_partitions: AtomicU64,
-    lattice_products: AtomicU64,
-    lattice_cache_hits: AtomicU64,
-    lattice_cache_misses: AtomicU64,
-    lattice_evictions: AtomicU64,
-    lattice_peak_bytes: AtomicU64,
-    // Tiered partition-kernel counters over all runs.
-    lattice_products_error_only: AtomicU64,
-    lattice_products_materialized: AtomicU64,
-    lattice_early_exits: AtomicU64,
-    lattice_summary_hits: AtomicU64,
+    /// Lattice and partition-kernel counters totalled over all runs.
+    lattice: Mutex<RunStats>,
     // Relation-pass memo totals over all corpus discoveries.
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
@@ -98,17 +89,7 @@ impl Metrics {
             stage_encode_us: AtomicU64::new(0),
             stage_discover_us: AtomicU64::new(0),
             stage_redundancy_us: AtomicU64::new(0),
-            lattice_nodes: AtomicU64::new(0),
-            lattice_partitions: AtomicU64::new(0),
-            lattice_products: AtomicU64::new(0),
-            lattice_cache_hits: AtomicU64::new(0),
-            lattice_cache_misses: AtomicU64::new(0),
-            lattice_evictions: AtomicU64::new(0),
-            lattice_peak_bytes: AtomicU64::new(0),
-            lattice_products_error_only: AtomicU64::new(0),
-            lattice_products_materialized: AtomicU64::new(0),
-            lattice_early_exits: AtomicU64::new(0),
-            lattice_summary_hits: AtomicU64::new(0),
+            lattice: Mutex::new(RunStats::default()),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
             memo_evictions: AtomicU64::new(0),
@@ -192,29 +173,7 @@ impl Metrics {
             .fetch_add(p.discover.as_micros() as u64, Ordering::Relaxed);
         self.stage_redundancy_us
             .fetch_add(p.redundancy.as_micros() as u64, Ordering::Relaxed);
-        let l = &outcome.stats.lattice;
-        self.lattice_nodes
-            .fetch_add(l.nodes_visited as u64, Ordering::Relaxed);
-        self.lattice_partitions
-            .fetch_add(l.partitions_built as u64, Ordering::Relaxed);
-        self.lattice_products
-            .fetch_add(l.products as u64, Ordering::Relaxed);
-        self.lattice_cache_hits
-            .fetch_add(l.cache_hits as u64, Ordering::Relaxed);
-        self.lattice_cache_misses
-            .fetch_add(l.cache_misses as u64, Ordering::Relaxed);
-        self.lattice_evictions
-            .fetch_add(l.evictions as u64, Ordering::Relaxed);
-        self.lattice_peak_bytes
-            .fetch_max(l.peak_resident_bytes as u64, Ordering::Relaxed);
-        self.lattice_products_error_only
-            .fetch_add(l.products_error_only as u64, Ordering::Relaxed);
-        self.lattice_products_materialized
-            .fetch_add(l.products_materialized as u64, Ordering::Relaxed);
-        self.lattice_early_exits
-            .fetch_add(l.early_exits as u64, Ordering::Relaxed);
-        self.lattice_summary_hits
-            .fetch_add(l.summary_hits as u64, Ordering::Relaxed);
+        lock_recover(&self.lattice).absorb(&outcome.stats.lattice);
         let m = &outcome.stats.memo;
         self.memo_hits.fetch_add(m.hits, Ordering::Relaxed);
         self.memo_misses.fetch_add(m.misses, Ordering::Relaxed);
@@ -222,6 +181,11 @@ impl Metrics {
             .fetch_add(m.evictions, Ordering::Relaxed);
         self.memo_resident_bytes
             .store(m.resident_bytes as u64, Ordering::Relaxed);
+    }
+
+    /// The lattice counters totalled over all runs so far.
+    fn lattice_totals(&self) -> RunStats {
+        *lock_recover(&self.lattice)
     }
 
     /// Render the Prometheus text exposition, merging in gauges sampled
@@ -414,23 +378,23 @@ impl Metrics {
             &body,
         );
 
+        let l = self.lattice_totals();
         let lattice = [
-            ("nodes_visited", &self.lattice_nodes),
-            ("partitions_built", &self.lattice_partitions),
-            ("products", &self.lattice_products),
-            ("cache_hits", &self.lattice_cache_hits),
-            ("cache_misses", &self.lattice_cache_misses),
-            ("evictions", &self.lattice_evictions),
-            ("products_error_only", &self.lattice_products_error_only),
-            ("products_materialized", &self.lattice_products_materialized),
-            ("early_exits", &self.lattice_early_exits),
-            ("summary_hits", &self.lattice_summary_hits),
+            ("nodes_visited", l.nodes_visited),
+            ("partitions_built", l.partitions_built),
+            ("products", l.products),
+            ("cache_hits", l.cache_hits),
+            ("cache_misses", l.cache_misses),
+            ("evictions", l.evictions),
+            ("products_error_only", l.products_error_only),
+            ("products_materialized", l.products_materialized),
+            ("early_exits", l.early_exits),
+            ("summary_hits", l.summary_hits),
         ];
         let mut body = String::new();
         for (counter, value) in lattice {
             body.push_str(&format!(
-                "discoverxfd_lattice_total{{counter=\"{counter}\"}} {}\n",
-                value.load(Ordering::Relaxed)
+                "discoverxfd_lattice_total{{counter=\"{counter}\"}} {value}\n"
             ));
         }
         metric(
@@ -445,7 +409,7 @@ impl Metrics {
             "gauge",
             &format!(
                 "discoverxfd_lattice_peak_resident_bytes {}\n",
-                self.lattice_peak_bytes.load(Ordering::Relaxed)
+                l.peak_resident_bytes
             ),
         );
 
@@ -604,20 +568,54 @@ mod tests {
     #[test]
     fn outcome_observation_accumulates_stage_time_and_lattice_work() {
         let m = Metrics::new();
-        let xml = "<r><t><a>1</a><b>x</b></t><t><a>2</a><b>x</b></t></r>";
-        let tree = xfd_xml::parse(xml).unwrap();
-        let outcome = discoverxfd::discover(&tree, &discoverxfd::DiscoveryConfig::default());
-        m.observe_outcome(&outcome);
-        m.observe_outcome(&outcome);
+        let config = discoverxfd::DiscoveryConfig::default();
+        let run = |xml: &str| discoverxfd::discover(&xfd_xml::parse(xml).unwrap(), &config);
+        let small = run("<r><t><a>1</a><b>x</b></t><t><a>2</a><b>x</b></t></r>");
+        let rows: String = (0..12)
+            .map(|i| format!("<t><a>{}</a><b>{}</b><c>{}</c></t>", i % 3, i % 4, i % 2))
+            .collect();
+        let large = run(&format!("<r>{rows}</r>"));
+        m.observe_outcome(&small);
+        m.observe_outcome(&large);
         let text = render(&m);
         assert!(text.contains("discoverxfd_runs_total 2\n"), "{text}");
-        let expected = outcome.stats.lattice.nodes_visited as u64 * 2;
+        let (s, l) = (&small.stats.lattice, &large.stats.lattice);
+        for (counter, a, b) in [
+            ("nodes_visited", s.nodes_visited, l.nodes_visited),
+            ("partitions_built", s.partitions_built, l.partitions_built),
+            ("products", s.products, l.products),
+            ("cache_hits", s.cache_hits, l.cache_hits),
+            ("cache_misses", s.cache_misses, l.cache_misses),
+            ("evictions", s.evictions, l.evictions),
+            (
+                "products_error_only",
+                s.products_error_only,
+                l.products_error_only,
+            ),
+            (
+                "products_materialized",
+                s.products_materialized,
+                l.products_materialized,
+            ),
+            ("early_exits", s.early_exits, l.early_exits),
+            ("summary_hits", s.summary_hits, l.summary_hits),
+        ] {
+            let line = format!(
+                "discoverxfd_lattice_total{{counter=\"{counter}\"}} {}\n",
+                a + b
+            );
+            assert!(text.contains(&line), "missing {line}in {text}");
+        }
+        // Peak residency is the largest single run's, not a sum.
         assert!(
-            text.contains(&format!(
-                "discoverxfd_lattice_total{{counter=\"nodes_visited\"}} {expected}\n"
-            )),
-            "{text}"
+            s.peak_resident_bytes < l.peak_resident_bytes,
+            "{s:?} vs {l:?}"
         );
+        let peak = format!(
+            "discoverxfd_lattice_peak_resident_bytes {}\n",
+            l.peak_resident_bytes
+        );
+        assert!(text.contains(&peak), "missing {peak}in {text}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Byte-budgeted, sharded result cache keyed by content digest.
 //!
-//! Mirrors the shape of `xfd-partition`'s partition cache: fixed shard
-//! array of mutexed maps, a per-shard byte budget carved from the total,
+//! Worker threads share it, so it is a fixed shard array of mutexed
+//! maps, with a per-shard byte budget carved from the total,
 //! least-recently-used eviction (every hit bumps the entry's sequence to
 //! the shard clock, so a hot report survives a stream of one-shot
 //! documents flowing through), and monotonic hit/miss/eviction counters

@@ -738,10 +738,10 @@ fn render_corpus_status(
         status.memo_misses,
         status.memo_evictions,
         status.memo_resident_bytes,
-        status.kernel_products_error_only,
-        status.kernel_products_materialized,
-        status.kernel_early_exits,
-        status.kernel_summary_hits,
+        status.kernel.products_error_only,
+        status.kernel.products_materialized,
+        status.kernel.early_exits,
+        status.kernel.summary_hits,
     );
     for (i, (name, digest, nodes)) in status.docs.iter().enumerate() {
         if i > 0 {
@@ -854,11 +854,11 @@ fn corpus_discover(
     registry: &CorpusRegistry,
     corpus: &str,
     config: &DiscoveryConfig,
-    fingerprint: &str,
+    fingerprint: &[u8],
 ) -> Response {
     match registry.with_handle(corpus, |h| {
         let mut seed = ContentDigest::new();
-        seed.update(fingerprint.as_bytes());
+        seed.update(fingerprint);
         seed.update(corpus.as_bytes());
         for d in h.doc_digests() {
             seed.update(&d.to_le_bytes());
@@ -976,7 +976,6 @@ fn stream_corpus_discover(
         // xfdlint:allow(lock_discipline, reason = "streaming endpoint: progress lines are written while discovery holds the per-corpus handle by design")
         send_best_effort(sink, line.as_bytes());
     });
-    state.metrics.observe_outcome(&outcome);
     let status = guard.status();
     let summary = format!(
         "{{\"done\": true, \"docs\": {}, \"fds\": {}, \"keys\": {}, \"redundancies\": {}, \"memo_hits\": {}, \"memo_misses\": {}}}\n",
@@ -989,15 +988,20 @@ fn stream_corpus_discover(
     );
     // xfdlint:allow(lock_discipline, reason = "streaming endpoint: the summary line is written while discovery holds the per-corpus handle by design")
     send_best_effort(stream, summary.as_bytes());
+    drop(guard);
+    // The metrics lock is taken after the per-corpus handle is released.
+    state.metrics.observe_outcome(&outcome);
     200
 }
 
-/// Parse the per-request discovery configuration from query parameters and
-/// render the canonical fingerprint that goes into the content digest.
+/// Parse the per-request discovery configuration from query parameters,
+/// with the bytes that key it in the content digest: its config-codec
+/// encoding, which covers every field and is prefix-free, so a key plus
+/// a body never reads as another key plus another body.
 fn config_from_query(
     base: &DiscoveryConfig,
     request: &Request,
-) -> Result<(DiscoveryConfig, String), String> {
+) -> Result<(DiscoveryConfig, Vec<u8>), String> {
     use xfd_relation::{OrderMode, SetColumnMode};
 
     let mut config = base.clone();
@@ -1043,20 +1047,7 @@ fn config_from_query(
             other => return Err(format!("unknown query parameter {other:?}")),
         }
     }
-    let fingerprint = format!(
-        "cfg1|max_lhs={:?}|inter={}|keep={}|budget={:?}|threads={}|encode={:?}|prune=({},{},{})|targets={}|empty={}",
-        config.max_lhs_size,
-        config.inter_relation,
-        config.keep_uninteresting,
-        config.cache_budget,
-        config.threads,
-        config.encode,
-        config.prune.rule1,
-        config.prune.rule2,
-        config.prune.key_prune,
-        config.max_partition_targets,
-        config.empty_lhs,
-    );
+    let fingerprint = discoverxfd::encode_config(&config);
     Ok((config, fingerprint))
 }
 
@@ -1108,7 +1099,7 @@ fn intake(state: &ServerState, request: &Request, body: &mut impl Read) -> Intak
     }
 
     let mut seed = ContentDigest::new();
-    seed.update(fingerprint.as_bytes());
+    seed.update(&fingerprint);
 
     // Small bodies spill into a bounded buffer and are digested *before*
     // any XML parsing, so a result-cache hit never touches the parser.

@@ -222,6 +222,35 @@ fn repeated_documents_are_served_from_the_result_cache() {
     join.join().unwrap().unwrap();
 }
 
+/// The result-cache digest covers every query parameter: setting any one
+/// of them misses the entry of the plain request, and a repeat of each
+/// request hits its own entry.
+#[test]
+fn every_query_parameter_gets_its_own_cache_entry() {
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+    let queries = [
+        "",
+        "?max-lhs=2",
+        "?inter=false",
+        "?keep-uninteresting=true",
+        "?cache-budget=4096",
+        "?threads=2",
+        "?sets=false",
+        "?ordered=true",
+    ];
+    for query in queries {
+        let first = post(addr, &format!("/v1/discover{query}"), BOOKSTORE);
+        assert_eq!(first.status, 200, "{query}: {}", first.body);
+        assert_eq!(first.header("X-Cache"), Some("miss"), "{query}");
+    }
+    for query in queries {
+        let again = post(addr, &format!("/v1/discover{query}"), BOOKSTORE);
+        assert_eq!(again.header("X-Cache"), Some("hit"), "{query}");
+    }
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 #[test]
 fn async_jobs_poll_to_completion_and_results_are_fetchable() {
     let (addr, handle, join) = spawn_server(ServerConfig::default());
@@ -638,6 +667,25 @@ fn corpus_lifecycle_over_http() {
         stable(&report.body),
         stable(&discoverxfd::report::render_json(&outcome))
     );
+    // The status's lifetime kernel counters total that one discover run.
+    let status = get(addr, "/v1/corpora/shop");
+    assert_eq!(status.status, 200, "{}", status.body);
+    let kernel = &status.body[status.body.find("\"kernel\": {").expect("kernel object")..];
+    let kernel = &kernel[..=kernel.find('}').expect("closed kernel object")];
+    for counter in [
+        "products_error_only",
+        "products_materialized",
+        "early_exits",
+        "summary_hits",
+    ] {
+        let key = format!("\"{counter}\": ");
+        assert_eq!(
+            field_u64(kernel, &key),
+            field_u64(&report.body, &key),
+            "{counter}: status {kernel} vs report {}",
+            report.body
+        );
+    }
 
     assert_eq!(get(addr, "/v1/corpora/ghost").status, 404);
     assert_eq!(delete(addr, "/v1/corpora/shop/docs/d2").status, 200);

@@ -170,10 +170,31 @@ echo "   2-worker report matches in-process"
 
 # SIGKILL one worker right after its first pass assignment: the orphaned
 # task must be retried (or recomputed locally) and the report must still
-# be identical.
-"$BIN" cluster discover clean --root "$CORPUS_ROOT" --workers 2 --kill-worker-after 1 --json \
+# be identical. The kill must land while that pass still runs, so this
+# step has a corpus of its own: six documents of one random relation
+# (250 rows x 10 columns over a domain of 4), whose merged relation is the
+# deepest wave and one long lattice pass. The warehouse passes above
+# finish in microseconds, so a worker could answer before its SIGKILL.
+WIDE_DOC=$(mktemp /tmp/ci-wide-XXXXXX.xml)
+trap 'rm -f "$DOC" "$DOC2" "$DOC3" "$BANNER" "$CLUSTER_LOG" "$WIDE_DOC"; rm -rf "$CORPUS_ROOT"; [ -n "${SERVER_PID:-}" ] && kill -9 "$SERVER_PID" 2>/dev/null || true' EXIT
+"$BIN" corpus create wide --root "$CORPUS_ROOT" 2>/dev/null
+for SEED in 1 2 3 4 5 6; do
+  awk -v seed="$SEED" 'BEGIN {
+    srand(seed); printf "<db>"
+    for (r = 0; r < 250; r++) {
+      printf "<row>"
+      for (a = 0; a < 10; a++) printf "<a%d>%d</a%d>", a, int(rand() * 4), a
+      printf "</row>"
+    }
+    print "</db>"
+  }' > "$WIDE_DOC"
+  "$BIN" corpus add wide "$WIDE_DOC" --name "w$SEED" --root "$CORPUS_ROOT" 2>/dev/null
+done
+rm -f "$WIDE_DOC"
+"$BIN" corpus discover wide --root "$CORPUS_ROOT" --json | normalize > /tmp/ci-corpus-wide.json
+"$BIN" cluster discover wide --root "$CORPUS_ROOT" --workers 2 --kill-worker-after 1 --json \
   2> "$CLUSTER_LOG" | normalize > /tmp/ci-cluster-killed.json
-cmp /tmp/ci-cluster-killed.json /tmp/ci-corpus-clean.json \
+cmp /tmp/ci-cluster-killed.json /tmp/ci-corpus-wide.json \
   || { echo "report changed after a worker was killed mid-run"; exit 1; }
 grep -q " lost=1 " "$CLUSTER_LOG" \
   || { echo "expected one lost worker; got: $(cat "$CLUSTER_LOG")"; exit 1; }
