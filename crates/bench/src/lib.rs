@@ -188,7 +188,6 @@ pub fn fig1() -> Section {
     let flat_opts = BaselineOptions {
         max_rows: 2_000_000,
         max_lhs: 3,
-        empty_lhs: true,
     };
     for &books in &[4usize, 8, 16, 32, 64] {
         let tree = warehouse_scaled(&WarehouseSpec {

@@ -196,7 +196,6 @@ impl Format {
         let opts = RenderOptions {
             show_uninteresting: config.keep_uninteresting,
             show_suggestions: flag(args, "--suggest"),
-            show_stats: true,
         };
         match self {
             Format::Json => render_json(outcome),
@@ -304,7 +303,6 @@ fn cmd_flat(args: &[String]) -> Result<(), String> {
     let options = BaselineOptions {
         max_rows: opt_value::<usize>(args, "--max-rows")?.unwrap_or(1_000_000),
         max_lhs: opt_value::<usize>(args, "--max-lhs")?.unwrap_or(usize::MAX),
-        empty_lhs: true,
     };
     let res = discover_flat(&tree, &schema, &options).map_err(|e| e.to_string())?;
     println!(

@@ -91,8 +91,6 @@ pub struct BaselineOptions {
     pub max_rows: usize,
     /// LHS size bound.
     pub max_lhs: usize,
-    /// Consider `∅ → a` edges.
-    pub empty_lhs: bool,
 }
 
 impl Default for BaselineOptions {
@@ -100,7 +98,6 @@ impl Default for BaselineOptions {
         BaselineOptions {
             max_rows: 1_000_000,
             max_lhs: usize::MAX,
-            empty_lhs: true,
         }
     }
 }
@@ -127,7 +124,6 @@ pub fn discover_flat(
         flat.n_rows(),
         &IntraOptions {
             max_lhs: options.max_lhs,
-            empty_lhs: options.empty_lhs,
             ..Default::default()
         },
     );

@@ -20,24 +20,6 @@ use xfd_relation::{Forest, RelId};
 use crate::interesting::{inter_fd_to_xfd, inter_key_to_key};
 use crate::xfd::{RawInterFd, RawInterKey};
 
-/// Options for the oracle.
-#[derive(Debug, Clone, Copy)]
-pub struct BruteOptions {
-    /// Maximum total LHS size (across levels).
-    pub max_lhs: usize,
-    /// Include `∅` as an LHS.
-    pub empty_lhs: bool,
-}
-
-impl Default for BruteOptions {
-    fn default() -> Self {
-        BruteOptions {
-            max_lhs: 3,
-            empty_lhs: true,
-        }
-    }
-}
-
 /// Oracle output, in the same raw form the discovery produces.
 #[derive(Debug, Default)]
 pub struct BruteResult {
@@ -210,20 +192,22 @@ fn subsets(attrs: &[Attr], max: usize) -> Vec<Vec<Attr>> {
     out
 }
 
-/// Run the oracle over every essential tuple class of the forest.
-pub fn brute_force(forest: &Forest, options: &BruteOptions) -> BruteResult {
+/// Run the oracle over every essential tuple class of the forest, with
+/// LHSs of at most `max_lhs` attributes in total (across levels), `∅`
+/// included.
+pub fn brute_force(forest: &Forest, max_lhs: usize) -> BruteResult {
     let mut result = BruteResult::default();
     for rel in &forest.relations {
         if rel.parent.is_none() || rel.n_tuples() == 0 {
             continue;
         }
         let attrs = candidate_attrs(forest, rel.id);
-        let all_subsets = subsets(&attrs, options.max_lhs);
+        let all_subsets = subsets(&attrs, max_lhs);
 
         // Minimal keys.
         let keys: Vec<Vec<Attr>> = all_subsets
             .iter()
-            .filter(|s| (options.empty_lhs || !s.is_empty()) && is_key(forest, rel.id, s))
+            .filter(|s| is_key(forest, rel.id, s))
             .cloned()
             .collect();
         let minimal_keys: Vec<&Vec<Attr>> = keys
@@ -241,9 +225,6 @@ pub fn brute_force(forest: &Forest, options: &BruteOptions) -> BruteResult {
         for rhs in 0..rel.n_columns() {
             for lhs in &all_subsets {
                 if lhs.iter().any(|&(r, c)| r == rel.id && c == rhs) {
-                    continue;
-                }
-                if !options.empty_lhs && lhs.is_empty() {
                     continue;
                 }
                 if minimal_keys.iter().any(|k| subset_of(k, lhs)) {
@@ -333,16 +314,13 @@ mod tests {
         let t = parse(xml).unwrap();
         let schema = infer_schema(&t);
         let forest = encode(&t, &schema, &EncodeConfig::default());
-        let opts = BruteOptions {
-            max_lhs: 3,
-            empty_lhs: true,
-        };
-        let oracle = brute_force(&forest, &opts);
+        let max_lhs = 3;
+        let oracle = brute_force(&forest, max_lhs);
         let config = DiscoveryConfig {
             keep_uninteresting: true,
             ..Default::default()
         };
-        let (fds, keys) = discovery_strings(&forest, &config, opts.max_lhs);
+        let (fds, keys) = discovery_strings(&forest, &config, max_lhs);
         let ofds = oracle.fd_strings(&forest);
         let okeys = oracle.key_strings(&forest);
         assert_eq!(fds, ofds, "FDs diverge from oracle for {xml}");

@@ -26,26 +26,25 @@ impl Default for PruneConfig {
     }
 }
 
-/// Configuration of the full discovery pipeline.
+/// Cap on the partition targets bound for one parent relation, and on the
+/// tuple pairs of one target: guards against pathological blow-up, and
+/// what it drops is counted in the report (`dropped_overflow`).
+pub(crate) const MAX_PARTITION_TARGETS: usize = 100_000;
+
+/// Configuration of the full discovery pipeline. Every pass tests the
+/// empty-LHS edges `∅ → a` (DESIGN.md, "Empty LHS edges").
 #[derive(Debug, Clone)]
 pub struct DiscoveryConfig {
-    /// Encoding of the hierarchical representation (set-valued and complex
-    /// columns).
+    /// Encoding of the hierarchical representation (set-valued columns
+    /// and sibling order).
     pub encode: EncodeConfig,
     /// Bound on LHS size (lattice level); `None` = unbounded.
     pub max_lhs_size: Option<usize>,
     /// Discover inter-relation FDs/keys via partition targets. Turning this
     /// off yields the intra-relation-only subset (for the ablation).
     pub inter_relation: bool,
-    /// Consider empty-LHS edges (`∅ → a`), discovering constant columns and
-    /// enabling inter-relation FDs whose LHS has no origin-relation
-    /// attribute (e.g. `{../contact/name} -> ./price w.r.t. C_book`).
-    pub empty_lhs: bool,
     /// Pruning rules.
     pub prune: PruneConfig,
-    /// Cap on live partition targets per relation (guards against
-    /// pathological blow-up; overflow is counted in the report).
-    pub max_partition_targets: usize,
     /// Keep FDs/keys that Definition 10 classifies as uninteresting
     /// (reported separately for inspection).
     pub keep_uninteresting: bool,
@@ -68,9 +67,7 @@ impl Default for DiscoveryConfig {
             encode: EncodeConfig::default(),
             max_lhs_size: None,
             inter_relation: true,
-            empty_lhs: true,
             prune: PruneConfig::default(),
-            max_partition_targets: 100_000,
             keep_uninteresting: false,
             threads: 1,
             cache_budget: None,
@@ -104,7 +101,6 @@ mod tests {
     fn defaults_enable_everything() {
         let c = DiscoveryConfig::default();
         assert!(c.inter_relation);
-        assert!(c.empty_lhs);
         assert!(c.prune.rule1 && c.prune.rule2 && c.prune.key_prune);
         assert_eq!(c.lhs_bound(), usize::MAX);
         assert_eq!(c.effective_threads(), 1, "sequential by default");

@@ -26,8 +26,6 @@ pub struct IntraOptions {
     pub prune: PruneConfig,
     /// Apply (repaired) rule 2 — `candidateLHS` vs. `candidateLHS2`.
     pub use_rule2: bool,
-    /// Consider `∅ → a` edges (constant columns).
-    pub empty_lhs: bool,
     /// Byte budget for resident partitions (`None` = unbounded). Eviction
     /// never changes results: evicted partitions are refolded from the
     /// bases on demand.
@@ -47,7 +45,6 @@ impl Default for IntraOptions {
             max_lhs: usize::MAX,
             prune: PruneConfig::default(),
             use_rule2: true,
-            empty_lhs: true,
             cache_budget: None,
             error_only_kernel: true,
         }
@@ -94,11 +91,7 @@ mod tests {
     use super::*;
 
     /// Brute-force oracle: minimal FDs and minimal keys by definition.
-    fn brute(
-        columns: &[&[Option<u64>]],
-        n: usize,
-        empty_lhs: bool,
-    ) -> (Vec<IntraFd>, Vec<AttrSet>) {
+    fn brute(columns: &[&[Option<u64>]], n: usize) -> (Vec<IntraFd>, Vec<AttrSet>) {
         let m = columns.len();
         let all_sets: Vec<AttrSet> = (0..(1u64 << m))
             .map(|bits| AttrSet::from_iter((0..m).filter(|&i| bits & (1 << i) != 0)))
@@ -143,7 +136,7 @@ mod tests {
         let mut fds = Vec::new();
         for rhs in 0..m {
             for &lhs in &all_sets {
-                if lhs.contains(rhs) || (!empty_lhs && lhs.is_empty()) {
+                if lhs.contains(rhs) {
                     continue;
                 }
                 // Skip superkey LHSs (reported via keys instead).
@@ -155,8 +148,7 @@ mod tests {
                 }
                 // Minimality.
                 let minimal = !lhs.iter().any(|a| holds(lhs.remove(a), rhs));
-                let minimal =
-                    minimal && !(empty_lhs && !lhs.is_empty() && holds(AttrSet::empty(), rhs));
+                let minimal = minimal && (lhs.is_empty() || !holds(AttrSet::empty(), rhs));
                 if minimal {
                     fds.push(IntraFd { lhs, rhs });
                 }
@@ -182,7 +174,7 @@ mod tests {
         let n = cols[0].len();
         let refs: Vec<&[Option<u64>]> = cols.iter().map(|c| c.as_slice()).collect();
         let got = discover_intra(&refs, n, &IntraOptions::default());
-        let (bfds, bkeys) = brute(&refs, n, true);
+        let (bfds, bkeys) = brute(&refs, n);
         assert_eq!(norm(got.fds.clone()), norm(bfds), "FDs differ for {cols:?}");
         assert_eq!(
             norm_keys(got.keys.clone()),
@@ -233,19 +225,6 @@ mod tests {
             lhs: AttrSet::empty(),
             rhs: 0
         }));
-    }
-
-    #[test]
-    fn empty_lhs_can_be_disabled() {
-        let got = discover_intra(
-            &[&[Some(7), Some(7), Some(7)]],
-            3,
-            &IntraOptions {
-                empty_lhs: false,
-                ..Default::default()
-            },
-        );
-        assert!(got.fds.is_empty());
     }
 
     #[test]
@@ -537,14 +516,7 @@ mod tests {
         let isbn = [Some(1u64), Some(2), Some(2), Some(2)];
         let title = [Some(10u64), Some(20), Some(20), Some(20)];
         let price = [Some(100u64), Some(200), Some(200), None];
-        let got = discover_intra(
-            &[&isbn, &title, &price],
-            4,
-            &IntraOptions {
-                empty_lhs: false,
-                ..Default::default()
-            },
-        );
+        let got = discover_intra(&[&isbn, &title, &price], 4, &IntraOptions::default());
         // ISBN → title holds (bold edge I→IT in Figure 7A).
         assert!(got.fds.contains(&IntraFd {
             lhs: AttrSet::single(0),

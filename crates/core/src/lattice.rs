@@ -32,20 +32,16 @@ pub struct IntraFd {
 ///   and `L ⊆ A_L ∖ {r}` — `A_L` contains a derivable attribute, so any FD
 ///   from it is non-minimal.
 ///
-/// With `empty_lhs`, singleton nodes get the candidate `∅` (the edge
-/// `∅ → a`, discovering constant columns).
+/// Singleton nodes get the candidate `∅` (the edge `∅ → a`, discovering
+/// constant columns; DESIGN.md, "Empty LHS edges").
 pub fn candidate_lhs(
     a_set: AttrSet,
     fds: &[IntraFd],
     prune: &PruneConfig,
     use_rule2: bool,
-    empty_lhs: bool,
 ) -> Vec<AttrSet> {
     let mut out = Vec::new();
     if a_set.len() == 1 {
-        if !empty_lhs {
-            return out;
-        }
         let a = a_set.max_attr().expect("non-empty");
         let pruned = prune.rule1 && fds.iter().any(|fd| fd.rhs == a && fd.lhs.is_empty());
         if !pruned {
@@ -164,12 +160,11 @@ pub(crate) fn candidate_error(
     fds: &[IntraFd],
     prune: &PruneConfig,
     use_rule2: bool,
-    empty_lhs: bool,
 ) -> usize {
     if let Some(e) = cache.error_of(al) {
         return e;
     }
-    let cands = candidate_lhs(al, fds, prune, use_rule2, empty_lhs);
+    let cands = candidate_lhs(al, fds, prune, use_rule2);
     match ensure_summary(cache, al, &cands, None) {
         ErrorOnlyProduct::Exact(s) => s.error,
         ErrorOnlyProduct::BelowBound => unreachable!("no bound was given"),
@@ -197,7 +192,6 @@ pub(crate) fn candidate_error(
 /// operands (previous-level partitions) are still resident —
 /// `evict_below(level − 2)` runs at level *starts*, after this pass used
 /// them.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn materialize_frontier(
     cache: &mut PartitionCache,
     next_level: &[AttrSet],
@@ -205,14 +199,13 @@ pub(crate) fn materialize_frontier(
     keys: &[AttrSet],
     prune: &PruneConfig,
     use_rule2: bool,
-    empty_lhs: bool,
     all_candidates: bool,
 ) {
     for &b in next_level {
         if prune.key_prune && keys.iter().any(|k| k.is_subset_of(b)) {
             continue;
         }
-        let cands = candidate_lhs(b, fds, prune, use_rule2, empty_lhs);
+        let cands = candidate_lhs(b, fds, prune, use_rule2);
         if b.len() > 1 && cands.is_empty() {
             continue;
         }
@@ -220,7 +213,7 @@ pub(crate) fn materialize_frontier(
             if cache.get(al).is_some() {
                 continue;
             }
-            let al_cands = candidate_lhs(al, fds, prune, use_rule2, empty_lhs);
+            let al_cands = candidate_lhs(al, fds, prune, use_rule2);
             if idx == 0 || all_candidates {
                 ensure_full(cache, al, &al_cands);
             } else if cache.summary_of(al).is_none() {
@@ -285,7 +278,7 @@ pub(crate) fn discover_levels(
                 cache.stats_mut().nodes_key_skipped += 1;
                 continue;
             }
-            let cands = candidate_lhs(a_set, &result.fds, prune, opts.use_rule2, opts.empty_lhs);
+            let cands = candidate_lhs(a_set, &result.fds, prune, opts.use_rule2);
             if a_set.len() > 1 && cands.is_empty() {
                 continue;
             }
@@ -330,7 +323,6 @@ pub(crate) fn discover_levels(
                 &result.keys,
                 prune,
                 opts.use_rule2,
-                opts.empty_lhs,
                 all_candidates,
             );
         }
@@ -392,7 +384,7 @@ fn tiered_node(
             if checked_error.is_some() {
                 ensure_full_lhs(cache, al, fds, opts);
             }
-            candidate_error(cache, al, fds, &opts.prune, opts.use_rule2, opts.empty_lhs)
+            candidate_error(cache, al, fds, &opts.prune, opts.use_rule2)
         })
         .collect();
     let node_error = match checked_error {
@@ -425,7 +417,7 @@ fn tiered_node(
 /// [`ensure_full`] for candidate LHS `al`, from its own candidate LHSs.
 fn ensure_full_lhs(cache: &mut PartitionCache, al: AttrSet, fds: &[IntraFd], opts: &IntraOptions) {
     if cache.get(al).is_none() {
-        let al_cands = candidate_lhs(al, fds, &opts.prune, opts.use_rule2, opts.empty_lhs);
+        let al_cands = candidate_lhs(al, fds, &opts.prune, opts.use_rule2);
         ensure_full(cache, al, &al_cands);
     }
 }
@@ -474,7 +466,7 @@ mod tests {
     #[test]
     fn no_fds_yields_all_candidates() {
         let prune = PruneConfig::default();
-        let cands = candidate_lhs(AttrSet::from_iter([0, 1, 2]), &[], &prune, true, true);
+        let cands = candidate_lhs(AttrSet::from_iter([0, 1, 2]), &[], &prune, true);
         assert_eq!(cands.len(), 3);
     }
 
@@ -483,7 +475,7 @@ mod tests {
         // B → C satisfied; node {B, C}: candidate {B} → C pruned.
         let prune = PruneConfig::default();
         let fds = [fd(&[1], 2)];
-        let cands = candidate_lhs(AttrSet::from_iter([1, 2]), &fds, &prune, true, true);
+        let cands = candidate_lhs(AttrSet::from_iter([1, 2]), &fds, &prune, true);
         // Candidate A_L = {1} (rhs 2) pruned by rule 1; A_L = {2} (rhs 1)
         // pruned by repaired rule 2 ({2} contains derivable... no: r=2 ∈ {2},
         // L={1} ⊄ ∅). So {2} survives.
@@ -496,7 +488,7 @@ mod tests {
         // (C ∉ {A,B}); the paper's literal line 24 would wrongly drop it.
         let prune = PruneConfig::default();
         let fds = [fd(&[1], 2)];
-        let cands = candidate_lhs(AttrSet::from_iter([0, 1, 3]), &fds, &prune, true, true);
+        let cands = candidate_lhs(AttrSet::from_iter([0, 1, 3]), &fds, &prune, true);
         assert!(cands.contains(&AttrSet::from_iter([0, 1])), "{cands:?}");
     }
 
@@ -506,7 +498,7 @@ mod tests {
         // derivable from B ⊆ {B}: pruned. Candidate {C,D} → B: r=C? fd rhs=2∈{2,3}, L={1}⊄{3}: survives.
         let prune = PruneConfig::default();
         let fds = [fd(&[1], 2)];
-        let cands = candidate_lhs(AttrSet::from_iter([1, 2, 3]), &fds, &prune, true, true);
+        let cands = candidate_lhs(AttrSet::from_iter([1, 2, 3]), &fds, &prune, true);
         assert!(!cands.contains(&AttrSet::from_iter([1, 2])));
         assert!(cands.contains(&AttrSet::from_iter([2, 3])));
         // {B,D} → C pruned by rule 1 (B → C with {B} ⊆ {B,D}).
@@ -517,7 +509,7 @@ mod tests {
     fn candidate_lhs2_skips_rule2() {
         let prune = PruneConfig::default();
         let fds = [fd(&[1], 2)];
-        let cands = candidate_lhs(AttrSet::from_iter([1, 2, 3]), &fds, &prune, false, true);
+        let cands = candidate_lhs(AttrSet::from_iter([1, 2, 3]), &fds, &prune, false);
         // Without rule 2, {B,C} → D is kept.
         assert!(cands.contains(&AttrSet::from_iter([1, 2])));
     }
@@ -525,13 +517,11 @@ mod tests {
     #[test]
     fn empty_lhs_candidates_for_singletons() {
         let prune = PruneConfig::default();
-        let with = candidate_lhs(AttrSet::single(4), &[], &prune, true, true);
-        assert_eq!(with, vec![AttrSet::empty()]);
-        let without = candidate_lhs(AttrSet::single(4), &[], &prune, true, false);
-        assert!(without.is_empty());
+        let cands = candidate_lhs(AttrSet::single(4), &[], &prune, true);
+        assert_eq!(cands, vec![AttrSet::empty()]);
         // ∅ → 4 already found: pruned by rule 1.
         let fds = [fd(&[], 4)];
-        let pruned = candidate_lhs(AttrSet::single(4), &fds, &prune, true, true);
+        let pruned = candidate_lhs(AttrSet::single(4), &fds, &prune, true);
         assert!(pruned.is_empty());
     }
 
@@ -543,7 +533,7 @@ mod tests {
             key_prune: false,
         };
         let fds = [fd(&[1], 2)];
-        let cands = candidate_lhs(AttrSet::from_iter([1, 2]), &fds, &prune, true, true);
+        let cands = candidate_lhs(AttrSet::from_iter([1, 2]), &fds, &prune, true);
         assert_eq!(cands.len(), 2);
     }
 

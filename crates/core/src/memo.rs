@@ -20,12 +20,11 @@
 //! document appends tuples, dictionary entries and value classes without
 //! renumbering existing ones (class ids follow document order, see
 //! `xfd_xml::value_eq`), so an unchanged relation re-encodes to
-//! byte-identical cells — `ValueClass` cells included — and its cached
-//! pass replays verbatim. The fingerprint is a word-wise
-//! [`WordDigest`] that absorbs each cell as one `u64`. A fingerprint mismatch
-//! merely forces a recompute; output never differs from
-//! [`discover_forest`](crate::xfd::discover_forest) on the same forest,
-//! which is this module's wave scheduler run without a memo.
+//! byte-identical cells and its cached pass replays verbatim. The
+//! fingerprint is a word-wise [`WordDigest`] that absorbs each cell as one
+//! `u64`. A fingerprint mismatch merely forces a recompute; output never
+//! differs from [`discover_forest`](crate::xfd::discover_forest) on the
+//! same forest, which is this module's wave scheduler run without a memo.
 
 use std::collections::HashMap;
 
@@ -35,7 +34,7 @@ use xfd_hash::{FxHashMap, WordDigest};
 use xfd_partition::{AttrSet, PairSet};
 use xfd_relation::{ColumnKind, Forest, RelId};
 
-use crate::config::DiscoveryConfig;
+use crate::config::{DiscoveryConfig, MAX_PARTITION_TARGETS};
 use crate::intra::RunStats;
 use crate::target::PartitionTarget;
 use crate::xfd::{
@@ -327,11 +326,9 @@ fn update_pairs(d: &mut WordDigest, pairs: &PairSet) {
 fn config_fingerprint(config: &DiscoveryConfig, d: &mut WordDigest) {
     d.update_u64(config.lhs_bound() as u64);
     d.update_u64(config.inter_relation as u64);
-    d.update_u64(config.empty_lhs as u64);
     d.update_u64(config.prune.rule1 as u64);
     d.update_u64(config.prune.rule2 as u64);
     d.update_u64(config.prune.key_prune as u64);
-    d.update_u64(config.max_partition_targets as u64);
     d.update_u64(config.cache_budget.map_or(u64::MAX, |b| b as u64));
 }
 
@@ -636,9 +633,8 @@ pub(crate) fn schedule_waves(
             out.relations.push(result.local);
             if let Some(parent) = forest.relation(rel_id).parent {
                 let mut outgoing = result.outgoing;
-                let room = config
-                    .max_partition_targets
-                    .saturating_sub(inbox.get(&parent).map_or(0, Vec::len));
+                let room =
+                    MAX_PARTITION_TARGETS.saturating_sub(inbox.get(&parent).map_or(0, Vec::len));
                 if outgoing.len() > room {
                     out.target_stats.dropped_overflow += outgoing.len() - room;
                     outgoing.truncate(room);

@@ -6,26 +6,13 @@ use std::fmt::{self, Write as _};
 use crate::driver::RunOutcome;
 use crate::normalize::suggest;
 
-/// Rendering options.
+/// Rendering options. Work counters and timings always close the report.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RenderOptions {
     /// Include the uninteresting FDs/keys section (when populated).
     pub show_uninteresting: bool,
     /// Include XNF refinement suggestions.
     pub show_suggestions: bool,
-    /// Include work counters and timings.
-    pub show_stats: bool,
-}
-
-impl RenderOptions {
-    /// Everything on.
-    pub fn full() -> Self {
-        RenderOptions {
-            show_uninteresting: true,
-            show_suggestions: true,
-            show_stats: true,
-        }
-    }
 }
 
 /// Render as plain text (the CLI's `discover` output body).
@@ -76,33 +63,31 @@ pub fn render_text(report: &RunOutcome, opts: &RenderOptions) -> String {
             let _ = writeln!(out, "  - {s}");
         }
     }
-    if opts.show_stats {
-        let _ = writeln!(
-            out,
-            "\n# Stats: {} lattice nodes, {} partitions, {} products, {} targets, {:?} total",
-            report.stats.lattice.nodes_visited,
-            report.stats.lattice.partitions_built,
-            report.stats.lattice.products,
-            report.stats.targets.created,
-            report.profile.total()
-        );
-        let _ = writeln!(
-            out,
-            "# Cache: {} hits, {} misses, {} evictions, {} peak partition bytes",
-            report.stats.lattice.cache_hits,
-            report.stats.lattice.cache_misses,
-            report.stats.lattice.evictions,
-            report.stats.lattice.peak_resident_bytes
-        );
-        let _ = writeln!(
-            out,
-            "# Kernel: {} error-only products ({} early exits), {} materialized, {} summary hits",
-            report.stats.lattice.products_error_only,
-            report.stats.lattice.early_exits,
-            report.stats.lattice.products_materialized,
-            report.stats.lattice.summary_hits
-        );
-    }
+    let _ = writeln!(
+        out,
+        "\n# Stats: {} lattice nodes, {} partitions, {} products, {} targets, {:?} total",
+        report.stats.lattice.nodes_visited,
+        report.stats.lattice.partitions_built,
+        report.stats.lattice.products,
+        report.stats.targets.created,
+        report.profile.total()
+    );
+    let _ = writeln!(
+        out,
+        "# Cache: {} hits, {} misses, {} evictions, {} peak partition bytes",
+        report.stats.lattice.cache_hits,
+        report.stats.lattice.cache_misses,
+        report.stats.lattice.evictions,
+        report.stats.lattice.peak_resident_bytes
+    );
+    let _ = writeln!(
+        out,
+        "# Kernel: {} error-only products ({} early exits), {} materialized, {} summary hits",
+        report.stats.lattice.products_error_only,
+        report.stats.lattice.early_exits,
+        report.stats.lattice.products_materialized,
+        report.stats.lattice.summary_hits
+    );
     out
 }
 
@@ -134,34 +119,33 @@ pub fn render_markdown(report: &RunOutcome, opts: &RenderOptions) -> String {
             let _ = writeln!(out, "- {s}");
         }
     }
-    if opts.show_stats {
-        let _ = writeln!(
-            out,
-            "\n---\n*{} lattice nodes · {} partitions · {} targets · \
-             {} cache hits / {} misses / {} evictions · {} peak bytes · \
-             {} error-only / {} materialized products ({} early exits, {} summary hits) · {:?}*",
-            report.stats.lattice.nodes_visited,
-            report.stats.lattice.partitions_built,
-            report.stats.targets.created,
-            report.stats.lattice.cache_hits,
-            report.stats.lattice.cache_misses,
-            report.stats.lattice.evictions,
-            report.stats.lattice.peak_resident_bytes,
-            report.stats.lattice.products_error_only,
-            report.stats.lattice.products_materialized,
-            report.stats.lattice.early_exits,
-            report.stats.lattice.summary_hits,
-            report.profile.total()
-        );
-    }
+    let _ = writeln!(
+        out,
+        "\n---\n*{} lattice nodes · {} partitions · {} targets · \
+         {} cache hits / {} misses / {} evictions · {} peak bytes · \
+         {} error-only / {} materialized products ({} early exits, {} summary hits) · {:?}*",
+        report.stats.lattice.nodes_visited,
+        report.stats.lattice.partitions_built,
+        report.stats.targets.created,
+        report.stats.lattice.cache_hits,
+        report.stats.lattice.cache_misses,
+        report.stats.lattice.evictions,
+        report.stats.lattice.peak_resident_bytes,
+        report.stats.lattice.products_error_only,
+        report.stats.lattice.products_materialized,
+        report.stats.lattice.early_exits,
+        report.stats.lattice.summary_hits,
+        report.profile.total()
+    );
     out
 }
 
 /// A [`fmt::Write`] adapter that JSON-escapes everything written through
-/// it straight into the output buffer.
-struct JsonEscaped<'a>(&'a mut String);
+/// it straight into the underlying writer: `"`, `\`, `\n`, `\t` and `\r`
+/// get their short escapes, every other control byte `\u00xx`.
+struct JsonEscaped<W>(W);
 
-impl fmt::Write for JsonEscaped<'_> {
+impl<W: fmt::Write> fmt::Write for JsonEscaped<W> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         let mut start = 0;
         for (i, b) in s.bytes().enumerate() {
@@ -175,23 +159,37 @@ impl fmt::Write for JsonEscaped<'_> {
                 _ => continue,
             };
             // Every escaped byte is ASCII, so `i` is a char boundary.
-            self.0.push_str(&s[start..i]);
+            self.0.write_str(&s[start..i])?;
             if escape.is_empty() {
                 write!(self.0, "\\u{b:04x}")?;
             } else {
-                self.0.push_str(escape);
+                self.0.write_str(escape)?;
             }
             start = i + 1;
         }
-        self.0.push_str(&s[start..]);
-        Ok(())
+        self.0.write_str(&s[start..])
     }
 }
 
-/// Append `value`'s `Display` form to `out` as a JSON string literal.
+/// `Display`s its value as a JSON string literal, quotes included: the
+/// one JSON string escaper of the report and the HTTP server.
+pub struct JsonStr<T>(pub T);
+
+impl<T: fmt::Display> fmt::Display for JsonStr<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        write!(JsonEscaped(&mut *f), "{}", self.0)?;
+        f.write_char('"')
+    }
+}
+
+/// Append `value`'s `Display` form to `out` as a JSON string literal, as
+/// [`JsonStr`] writes it but straight into the buffer: going through
+/// `JsonStr` would set up a second formatter for every string of a
+/// report.
 fn push_json_str(out: &mut String, value: &dyn fmt::Display) {
     out.push('"');
-    let _ = write!(JsonEscaped(out), "{value}");
+    let _ = write!(JsonEscaped(&mut *out), "{value}");
     out.push('"');
 }
 
@@ -307,9 +305,16 @@ mod tests {
         )
     }
 
+    fn all_sections() -> RenderOptions {
+        RenderOptions {
+            show_uninteresting: true,
+            show_suggestions: true,
+        }
+    }
+
     #[test]
     fn text_rendering_contains_all_sections() {
-        let text = render_text(&sample(), &RenderOptions::full());
+        let text = render_text(&sample(), &all_sections());
         for needle in [
             "# Interesting XML FDs",
             "# XML Keys",
@@ -326,7 +331,7 @@ mod tests {
 
     #[test]
     fn markdown_rendering_is_tabular() {
-        let md = render_markdown(&sample(), &RenderOptions::full());
+        let md = render_markdown(&sample(), &all_sections());
         assert!(md.contains("## Interesting XML FDs"));
         assert!(md.contains("| `{./i} -> ./t w.r.t. C_book` |"));
         assert!(md.contains("|---|"));
@@ -366,12 +371,14 @@ mod tests {
         assert_eq!(escaped("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(escaped("\u{1}\tü\r"), "\"\\u0001\\tü\\r\"");
         assert_eq!(escaped(""), "\"\"");
+        let specials = "q\"b\\n\nt\tr\r\u{1}é";
+        assert_eq!(JsonStr(specials).to_string(), escaped(specials));
     }
 
     #[test]
     fn sections_are_optional() {
         let minimal = render_text(&sample(), &RenderOptions::default());
-        assert!(!minimal.contains("# Stats"));
+        assert!(minimal.contains("# Stats"), "stats always render");
         assert!(!minimal.contains("# Refinement"));
         assert!(!minimal.contains("# Uninteresting"));
     }

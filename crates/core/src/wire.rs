@@ -19,7 +19,7 @@
 
 use xfd_hash::codec::{put_bool, put_record, put_u128, put_u32, put_usize, CodecError, Reader};
 use xfd_partition::{AttrSet, PairSet};
-use xfd_relation::{ComplexColumnMode, OrderMode, RelId, SetColumnMode};
+use xfd_relation::{OrderMode, RelId, SetColumnMode};
 
 use crate::config::{DiscoveryConfig, PruneConfig};
 use crate::intra::RunStats;
@@ -52,26 +52,17 @@ pub fn encode_config(config: &DiscoveryConfig) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.push(match config.encode.set_columns {
         SetColumnMode::None => 0,
-        SetColumnMode::SimpleOnly => 1,
-        SetColumnMode::All => 2,
-    });
-    out.push(match config.encode.complex_columns {
-        ComplexColumnMode::NodeKey => 0,
-        ComplexColumnMode::ValueClass => 1,
-        ComplexColumnMode::Omit => 2,
+        SetColumnMode::All => 1,
     });
     out.push(match config.encode.order {
         OrderMode::Unordered => 0,
         OrderMode::Ordered => 1,
     });
-    put_bool(&mut out, config.encode.numeric_values);
     put_opt_usize(&mut out, config.max_lhs_size);
     put_bool(&mut out, config.inter_relation);
-    put_bool(&mut out, config.empty_lhs);
     put_bool(&mut out, config.prune.rule1);
     put_bool(&mut out, config.prune.rule2);
     put_bool(&mut out, config.prune.key_prune);
-    put_usize(&mut out, config.max_partition_targets);
     put_bool(&mut out, config.keep_uninteresting);
     put_usize(&mut out, config.threads);
     put_opt_usize(&mut out, config.cache_budget);
@@ -83,38 +74,23 @@ pub fn decode_config(bytes: &[u8]) -> Result<DiscoveryConfig, CodecError> {
     let mut r = Reader::new(bytes);
     let set_columns = match r.u8()? {
         0 => SetColumnMode::None,
-        1 => SetColumnMode::SimpleOnly,
-        2 => SetColumnMode::All,
+        1 => SetColumnMode::All,
         _ => return Err(CodecError::BadTag("set-column mode")),
-    };
-    let complex_columns = match r.u8()? {
-        0 => ComplexColumnMode::NodeKey,
-        1 => ComplexColumnMode::ValueClass,
-        2 => ComplexColumnMode::Omit,
-        _ => return Err(CodecError::BadTag("complex-column mode")),
     };
     let order = match r.u8()? {
         0 => OrderMode::Unordered,
         1 => OrderMode::Ordered,
         _ => return Err(CodecError::BadTag("order mode")),
     };
-    let numeric_values = r.bool()?;
     let config = DiscoveryConfig {
-        encode: xfd_relation::EncodeConfig {
-            set_columns,
-            complex_columns,
-            order,
-            numeric_values,
-        },
+        encode: xfd_relation::EncodeConfig { set_columns, order },
         max_lhs_size: opt_usize(&mut r)?,
         inter_relation: r.bool()?,
-        empty_lhs: r.bool()?,
         prune: PruneConfig {
             rule1: r.bool()?,
             rule2: r.bool()?,
             key_prune: r.bool()?,
         },
-        max_partition_targets: r.usize()?,
         keep_uninteresting: r.bool()?,
         threads: r.usize()?,
         cache_budget: opt_usize(&mut r)?,
@@ -385,20 +361,16 @@ mod tests {
             DiscoveryConfig::default(),
             DiscoveryConfig {
                 encode: xfd_relation::EncodeConfig {
-                    set_columns: SetColumnMode::SimpleOnly,
-                    complex_columns: ComplexColumnMode::ValueClass,
+                    set_columns: SetColumnMode::None,
                     order: OrderMode::Ordered,
-                    numeric_values: true,
                 },
                 max_lhs_size: Some(3),
                 inter_relation: false,
-                empty_lhs: false,
                 prune: PruneConfig {
                     rule1: false,
                     rule2: true,
                     key_prune: false,
                 },
-                max_partition_targets: 7,
                 keep_uninteresting: true,
                 threads: 4,
                 cache_budget: Some(1 << 20),
@@ -490,8 +462,8 @@ mod tests {
         assert_eq!(
             digests,
             [
-                "f4a7673602174444c01106609c57fe75",
-                "938f8a283378fe9124f1dde77b7174a8",
+                "61daa41c0ef6b1aa702d31528e906045",
+                "01fe5041847bd490c5938516454d41c7",
                 "1a2fc58047e2cc7b7807279943120b98",
                 "f0f99b31f7b6b34e95536e6f9bbe6bd9",
             ]

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use xfd_partition::{AttrSet, GroupMap, Partition, Tuple};
 use xfd_relation::{Forest, RelId};
 
-use crate::config::DiscoveryConfig;
+use crate::config::{DiscoveryConfig, MAX_PARTITION_TARGETS};
 use crate::intra::{IntraOptions, RunStats};
 use crate::lattice::{discover_levels, IntraFd};
 use crate::target::{create_target_from_base, update_target, CreateOutcome, PartitionTarget};
@@ -226,7 +226,6 @@ pub(crate) fn process_relation(
         // candidateLHS2: rule 2 off (an intra-non-minimal edge can still
         // seed a minimal inter-relation FD).
         use_rule2: false,
-        empty_lhs: config.empty_lhs,
         cache_budget: config.cache_budget,
         ..IntraOptions::default()
     };
@@ -259,7 +258,6 @@ pub(crate) struct TargetContext<'a> {
     /// The relation has a parent and inter-relation discovery is on:
     /// failing edges and partially separated targets move up.
     propagate: bool,
-    max_partition_targets: usize,
     /// Lazily built tuple → group maps of the single-attribute *base*
     /// partitions: a failing edge's partition target is derived from
     /// `Π_{A_L}` plus the RHS base map (see `create_target_from_base`).
@@ -305,7 +303,6 @@ impl<'a> TargetContext<'a> {
             incoming,
             excluded,
             propagate: rel.parent.is_some() && config.inter_relation,
-            max_partition_targets: config.max_partition_targets,
             rhs_maps: Vec::new(),
             inter_fds: Vec::new(),
             inter_keys: Vec::new(),
@@ -442,7 +439,7 @@ impl<'a> TargetContext<'a> {
             pl,
             gm,
             self.parent_of,
-            self.max_partition_targets,
+            MAX_PARTITION_TARGETS,
         );
         self.push_created(outcome);
     }

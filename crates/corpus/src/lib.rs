@@ -182,15 +182,6 @@ impl CorpusStore {
         CorpusHandle::load_inner(name, &dir, true)
     }
 
-    /// Open the corpus, creating it first if missing.
-    pub fn open_or_create(&self, name: &str) -> Result<CorpusHandle, CorpusError> {
-        if self.exists(name) {
-            self.open(name)
-        } else {
-            self.create(name)
-        }
-    }
-
     /// Delete a corpus and everything under it.
     pub fn delete(&self, name: &str) -> Result<(), CorpusError> {
         let dir = self.corpus_dir(name)?;

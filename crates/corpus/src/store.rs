@@ -33,7 +33,7 @@
 //! on open.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use xfd_hash::codec::{put_record, CodecError, Reader};
@@ -474,26 +474,6 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
-
-/// Read a file and digest it in one pass (used by status reporting).
-pub fn digest_file(path: &Path) -> io::Result<u128> {
-    let mut f = File::open(path)?;
-    let mut buf = [0u8; 64 * 1024];
-    let mut d = xfd_hash::ContentDigest::new();
-    loop {
-        let n = f.read(&mut buf)?;
-        if n == 0 {
-            return Ok(d.finish());
-        }
-        let Some(chunk) = buf.get(..n) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "reader reported more bytes than the buffer holds",
-            ));
-        };
-        d.update(chunk);
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -14,8 +14,8 @@ use discoverxfd::{discover_collection, merge_collection, DiscoveryConfig, RunOut
 use proptest::prelude::*;
 use xfd_corpus::{CorpusHandle, CorpusStore};
 use xfd_relation::{
-    build_partial, encode, forest_fingerprint, merge_partials, ComplexColumnMode, EncodeConfig,
-    Forest, SegmentPartial, SetColumnMode,
+    build_partial, encode, forest_fingerprint, merge_partials, EncodeConfig, Forest,
+    SegmentPartial, SetColumnMode,
 };
 use xfd_schema::SchemaMap;
 use xfd_xml::{parse, DataTree, OrderMode};
@@ -26,18 +26,13 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// The encode configurations under test: the default, value-class complex
-/// columns, ordered value equality, and no set-valued columns.
+/// The encode configurations under test: the default, ordered value
+/// equality, and no set-valued columns.
 fn configs() -> Vec<DiscoveryConfig> {
     [
         EncodeConfig::default(),
         EncodeConfig {
-            complex_columns: ComplexColumnMode::ValueClass,
-            ..EncodeConfig::default()
-        },
-        EncodeConfig {
             order: OrderMode::Ordered,
-            complex_columns: ComplexColumnMode::ValueClass,
             ..EncodeConfig::default()
         },
         EncodeConfig {

@@ -22,47 +22,27 @@ pub enum SetColumnMode {
     /// No set-valued columns: the expressiveness of the prior XML FD
     /// notions (\[3\], \[24\]) — Constraints 3 and 4 become undiscoverable.
     None,
-    /// Only set elements with simple item types (e.g. `author: SetOf str`).
-    SimpleOnly,
     /// Every child set element, nested sets included (default).
     #[default]
     All,
 }
 
-/// How complex non-repeatable elements (e.g. `contact`) materialize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ComplexColumnMode {
-    /// Cells are the node keys, exactly as in the paper's Figures 5–6.
-    /// Complex columns are then key-like within their relation.
-    #[default]
-    NodeKey,
-    /// Cells are subtree value-equality classes (Definition 3) — an
-    /// extension enabling FDs that compare complex elements by value.
-    ValueClass,
-    /// Do not materialize complex columns at all.
-    Omit,
-}
-
-/// Encoder configuration.
+/// Encoder configuration. Complex non-repeatable elements (e.g.
+/// `contact`) hold their node keys, as in the paper's Figures 5–6, and
+/// leaf values compare as strings.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EncodeConfig {
     /// Set-valued column policy.
     pub set_columns: SetColumnMode,
-    /// Complex column policy.
-    pub complex_columns: ComplexColumnMode,
     /// Sibling-order sensitivity of all value equality (subtree classes
     /// and set-valued cells) — the Section 4.5 "impact of order" variant.
     pub order: xfd_xml::OrderMode,
-    /// Compare numerically-typed leaf values by numeric value rather than
-    /// by string (so `01`, `1` and `1.0` agree where the inferred type is
-    /// `int`/`float`). Off by default — the paper compares strings.
-    pub numeric_values: bool,
 }
 
-/// Does `config` require subtree value-equality classes?
+/// Does `config` require subtree value-equality classes? Only set-valued
+/// columns are built from them.
 pub(crate) fn need_classes(config: &EncodeConfig) -> bool {
     config.set_columns != SetColumnMode::None
-        || config.complex_columns == ComplexColumnMode::ValueClass
 }
 
 /// The schema-derived frame of a forest: empty relations (one per pivot, in
@@ -80,25 +60,17 @@ pub(crate) struct Skeleton<'a> {
 /// Encode `tree` (assumed to conform to `schema`) into a [`Forest`].
 pub fn encode(tree: &DataTree, schema: &Schema, config: &EncodeConfig) -> Forest {
     let map = SchemaMap::new(schema);
-    let classes = if need_classes(config) {
-        Some(EqClasses::compute_with(tree, config.order))
-    } else {
-        None
-    };
-
     let Skeleton {
         mut relations,
         column_of_elem,
         child_elem,
-    } = build_skeleton(&map, config);
+    } = build_skeleton(&map);
 
     // --- Single pass over the data tree. ---------------------------------
     let mut dictionary = Dictionary::new();
     let mut encoder = Encoder {
         tree,
         map: &map,
-        config,
-        classes: classes.as_ref(),
         rank: None,
         relations: &mut relations,
         column_of_elem: &column_of_elem,
@@ -113,24 +85,22 @@ pub fn encode(tree: &DataTree, schema: &Schema, config: &EncodeConfig) -> Forest
     relations[0].parent_of.clear();
 
     // --- Set-valued columns (Section 4.4 reconstruction). ----------------
-    if let Some(classes) = &classes {
-        if config.set_columns != SetColumnMode::None {
-            add_set_columns(
-                &mut relations,
-                &map,
-                |rel, t| classes.class_of(rel.node_keys[t]),
-                &mut dictionary,
-                config.set_columns,
-                config.order,
-            );
-        }
+    if need_classes(config) {
+        let classes = EqClasses::compute_with(tree, config.order);
+        add_set_columns(
+            &mut relations,
+            &map,
+            |rel, t| classes.class_of(rel.node_keys[t]),
+            &mut dictionary,
+            config.order,
+        );
     }
 
     Forest::new(relations, dictionary, map)
 }
 
 /// Build the empty relation skeleton and lookup tables for `map`.
-pub(crate) fn build_skeleton<'a>(map: &'a SchemaMap, config: &EncodeConfig) -> Skeleton<'a> {
+pub(crate) fn build_skeleton(map: &SchemaMap) -> Skeleton<'_> {
     // --- Create one relation per pivot, in schema DFS order. -------------
     let pivots = map.pivots();
     let mut rel_of_pivot: HashMap<ElemId, RelId> = HashMap::new();
@@ -159,10 +129,7 @@ pub(crate) fn build_skeleton<'a>(map: &'a SchemaMap, config: &EncodeConfig) -> S
             let kind = if a.is_simple {
                 ColumnKind::Simple
             } else {
-                match config.complex_columns {
-                    ComplexColumnMode::Omit => continue,
-                    _ => ColumnKind::Complex,
-                }
+                ColumnKind::Complex
             };
             let rel_path = a.path.relative_to(&pelem.path);
             let name = rel_path.to_string().trim_start_matches("./").to_string();
@@ -205,10 +172,8 @@ pub(crate) fn build_skeleton<'a>(map: &'a SchemaMap, config: &EncodeConfig) -> S
 pub(crate) struct Encoder<'a> {
     pub(crate) tree: &'a DataTree,
     pub(crate) map: &'a SchemaMap,
-    pub(crate) config: &'a EncodeConfig,
-    pub(crate) classes: Option<&'a EqClasses>,
     /// When encoding a collection *segment*: the tree's pre-order rank
-    /// table. Node keys and `NodeKey` cells are then recorded as pre-order
+    /// table. Node keys and complex cells are then recorded as pre-order
     /// ranks (segment-relative), which the merge shifts into the grafted
     /// tree's node-id space by adding the segment's node offset.
     pub(crate) rank: Option<&'a [u32]>,
@@ -253,32 +218,11 @@ impl Encoder<'_> {
         if let Some(&(r, c)) = self.column_of_elem.get(&elem) {
             if r == rel {
                 if let Some(v) = self.tree.value(node) {
-                    let id = self.intern_value(elem, v);
+                    let id = self.dictionary.intern_str(v);
                     self.set_cell(rel, c, tuple, id);
                 }
             }
         }
-    }
-
-    /// Intern a leaf value, canonicalizing numeric forms when configured.
-    fn intern_value(&mut self, elem: ElemId, v: &str) -> u64 {
-        use xfd_schema::SimpleType;
-        if self.config.numeric_values {
-            match self.map.get(elem).simple_type {
-                Some(SimpleType::Int) => {
-                    if let Ok(n) = v.trim().parse::<i64>() {
-                        return self.dictionary.intern_str(&n.to_string());
-                    }
-                }
-                Some(SimpleType::Float) => {
-                    if let Ok(f) = v.trim().parse::<f64>() {
-                        return self.dictionary.intern_str(&format!("{f}"));
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.dictionary.intern_str(v)
     }
 
     fn visit_children(&mut self, node: NodeId, elem: ElemId, rel: RelId, tuple: TupleIdx) {
@@ -318,20 +262,11 @@ impl Encoder<'_> {
                 debug_assert_eq!(r, rel, "non-set element lands in the owning relation");
                 if ce.is_simple {
                     if let Some(v) = self.tree.value(c) {
-                        let id = self.intern_value(celem, v);
+                        let id = self.dictionary.intern_str(v);
                         self.set_cell(rel, col, tuple, id);
                     }
                 } else {
-                    let id = match self.config.complex_columns {
-                        ComplexColumnMode::NodeKey => u64::from(self.key_of(c).0),
-                        ComplexColumnMode::ValueClass => u64::from(
-                            self.classes
-                                .expect("classes computed for ValueClass")
-                                .class_of(c)
-                                .0,
-                        ),
-                        ComplexColumnMode::Omit => unreachable!("omitted columns are skipped"),
-                    };
+                    let id = u64::from(self.key_of(c).0);
                     self.set_cell(rel, col, tuple, id);
                 }
             }
@@ -479,25 +414,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn complex_value_class_mode_shares_ids_for_equal_subtrees() {
-        let t = parse(
-            "<r><s><c><n>X</n></c><i>1</i></s><s><c><n>X</n></c><i>2</i></s><s><c><n>Y</n></c><i>3</i></s></r>",
-        )
-        .unwrap();
-        let schema = infer_schema(&t);
-        let cfg = EncodeConfig {
-            complex_columns: ComplexColumnMode::ValueClass,
-            ..Default::default()
-        };
-        let f = encode(&t, &schema, &cfg);
-        let s_rel = f.relations.iter().find(|r| r.name == "s").unwrap();
-        let c_col = s_rel.column_by_rel_path(&"./c".parse().unwrap()).unwrap();
-        let cells = &s_rel.columns[c_col].cells;
-        assert_eq!(cells[0], cells[1], "equal subtrees share a class");
-        assert_ne!(cells[0], cells[2]);
-    }
-
-    #[test]
     fn complex_node_key_mode_is_key_like() {
         let t = parse("<r><s><c><n>X</n></c></s><s><c><n>X</n></c></s></r>").unwrap();
         let schema = infer_schema(&t);
@@ -509,36 +425,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn omit_modes_drop_columns() {
+    fn no_set_columns_mode_drops_set_columns() {
         let t = warehouse();
         let schema = infer_schema(&t);
         let cfg = EncodeConfig {
             set_columns: SetColumnMode::None,
-            complex_columns: ComplexColumnMode::Omit,
             ..Default::default()
         };
         let f = encode(&t, &schema, &cfg);
         let store = f.relations.iter().find(|r| r.name == "store").unwrap();
         let cols: Vec<&str> = store.columns.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(cols, vec!["contact/name", "contact/address"]);
+        assert_eq!(cols, vec!["contact", "contact/name", "contact/address"]);
         let book = f.relations.iter().find(|r| r.name == "book").unwrap();
         let cols: Vec<&str> = book.columns.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(cols, vec!["ISBN", "title", "price"]);
-    }
-
-    #[test]
-    fn simple_only_set_columns_exclude_complex_sets() {
-        let t = warehouse();
-        let schema = infer_schema(&t);
-        let cfg = EncodeConfig {
-            set_columns: SetColumnMode::SimpleOnly,
-            ..Default::default()
-        };
-        let f = encode(&t, &schema, &cfg);
-        let store = f.relations.iter().find(|r| r.name == "store").unwrap();
-        assert!(store.columns.iter().all(|c| c.kind != ColumnKind::SetValue));
-        let book = f.relations.iter().find(|r| r.name == "book").unwrap();
-        assert!(book.columns.iter().any(|c| c.kind == ColumnKind::SetValue));
     }
 
     #[test]
@@ -567,28 +467,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn numeric_values_canonicalize_when_enabled() {
-        let t = parse(
-            "<r><b><n>01</n><f>1.50</f></b><b><n>1</n><f>1.5</f></b><b><n>2</n><f>2.5</f></b></r>",
-        )
-        .unwrap();
+    fn numeric_values_compare_as_strings() {
+        let t = parse("<r><b><n>01</n></b><b><n>1</n></b><b><n>2</n></b></r>").unwrap();
         let schema = infer_schema(&t);
-        // Default: string comparison — "01" and "1" differ.
-        let plain = encode(&t, &schema, &EncodeConfig::default());
-        let book = plain.relations.iter().find(|r| r.name == "b").unwrap();
-        let n = book.column_by_rel_path(&"./n".parse().unwrap()).unwrap();
-        assert_ne!(book.columns[n].cells[0], book.columns[n].cells[1]);
-        // Numeric mode: they agree, and so do the float forms.
-        let cfg = EncodeConfig {
-            numeric_values: true,
-            ..Default::default()
-        };
-        let numeric = encode(&t, &schema, &cfg);
-        let book = numeric.relations.iter().find(|r| r.name == "b").unwrap();
-        let n = book.column_by_rel_path(&"./n".parse().unwrap()).unwrap();
-        let f_col = book.column_by_rel_path(&"./f".parse().unwrap()).unwrap();
-        assert_eq!(book.columns[n].cells[0], book.columns[n].cells[1]);
-        assert_ne!(book.columns[n].cells[0], book.columns[n].cells[2]);
-        assert_eq!(book.columns[f_col].cells[0], book.columns[f_col].cells[1]);
+        let f = encode(&t, &schema, &EncodeConfig::default());
+        let b = f.relations.iter().find(|r| r.name == "b").unwrap();
+        let n = b.column_by_rel_path(&"./n".parse().unwrap()).unwrap();
+        assert_ne!(
+            b.columns[n].cells[0], b.columns[n].cells[1],
+            "\"01\" ≠ \"1\""
+        );
     }
 }

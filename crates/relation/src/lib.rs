@@ -31,7 +31,7 @@ pub mod shard;
 pub mod treetuple;
 
 pub use dictionary::Dictionary;
-pub use encode::{encode, ComplexColumnMode, EncodeConfig, SetColumnMode};
+pub use encode::{encode, EncodeConfig, SetColumnMode};
 pub use flat::{flatten, FlatError, FlatRelation};
 pub use relation::{Column, ColumnKind, Forest, ForestStats, RelId, Relation, TupleIdx};
 pub use shard::{

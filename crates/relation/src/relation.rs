@@ -27,8 +27,7 @@ pub type TupleIdx = u32;
 pub enum ColumnKind {
     /// A simple (leaf) schema element; cells are string-dictionary ids.
     Simple,
-    /// A complex non-repeatable element; cells are node keys or value-class
-    /// ids depending on [`crate::ComplexColumnMode`].
+    /// A complex non-repeatable element; cells are node keys (Figures 5–6).
     Complex,
     /// A child set element (Section 4.4 reconstruction); cells are
     /// multiset-dictionary ids over the children's value classes.
@@ -89,11 +88,6 @@ impl Relation {
     /// Find a column by its path relative to the pivot.
     pub fn column_by_rel_path(&self, rel_path: &Path) -> Option<usize> {
         self.columns.iter().position(|c| &c.rel_path == rel_path)
-    }
-
-    /// Find a column by the schema element it materializes.
-    pub fn column_by_elem(&self, elem: ElemId) -> Option<usize> {
-        self.columns.iter().position(|c| c.elem == elem)
     }
 }
 

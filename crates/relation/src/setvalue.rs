@@ -19,10 +19,10 @@ use xfd_schema::SchemaMap;
 use xfd_xml::{OrderMode, ValueClassId};
 
 use crate::dictionary::Dictionary;
-use crate::encode::SetColumnMode;
 use crate::relation::{Column, ColumnKind, Relation};
 
-/// Append set-valued columns to every parent relation, per `mode`.
+/// Append a set-valued column for every child set element to its parent
+/// relation.
 ///
 /// `relations` must be in schema DFS order (parents before children), as
 /// produced by the encoder; `class_of(rel, t)` is the value class of tuple
@@ -33,10 +33,8 @@ pub fn add_set_columns(
     map: &SchemaMap,
     class_of: impl Fn(&Relation, usize) -> ValueClassId,
     dictionary: &mut Dictionary,
-    mode: SetColumnMode,
     order: OrderMode,
 ) {
-    debug_assert_ne!(mode, SetColumnMode::None);
     // Collect (parent index, column) first: we read child relations while
     // building columns for parents.
     let mut new_columns: Vec<(usize, Column)> = Vec::new();
@@ -45,9 +43,6 @@ pub fn add_set_columns(
             continue;
         };
         let elem = map.get(child.pivot);
-        if mode == SetColumnMode::SimpleOnly && !elem.is_simple {
-            continue;
-        }
         let parent = &relations[parent_rel.index()];
         let mut per_parent: Vec<Vec<u64>> = vec![Vec::new(); parent.n_tuples()];
         for t in 0..child.n_tuples() {

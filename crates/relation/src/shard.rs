@@ -36,18 +36,16 @@ use xfd_schema::{Schema, SchemaMap};
 use xfd_xml::{preorder_of, DataTree, EqClasses, NodeId, ShapeCons, ValueClassId};
 
 use crate::dictionary::Dictionary;
-use crate::encode::{
-    build_skeleton, need_classes, ComplexColumnMode, EncodeConfig, Encoder, SetColumnMode, Skeleton,
-};
+use crate::encode::{build_skeleton, need_classes, EncodeConfig, Encoder, Skeleton};
 use crate::relation::{ColumnKind, Forest, RelId, Relation};
 use crate::setvalue::add_set_columns;
 
 /// One document's contribution to the collection forest, expressed in
-/// segment-local coordinates: node keys and `NodeKey` cells are pre-order
-/// ranks, `ValueClass` cells are local class ids, and simple cells are
-/// local dictionary ids. All coordinates are shifted or remapped by
-/// [`ForestMerge`]; a partial is therefore valid for *any* position in
-/// *any* collection encoded under the same schema and configuration.
+/// segment-local coordinates: node keys and complex cells are pre-order
+/// ranks, and simple cells are local dictionary ids. All coordinates are
+/// shifted or remapped by [`ForestMerge`]; a partial is therefore valid
+/// for *any* position in *any* collection encoded under the same schema
+/// and configuration.
 pub struct SegmentPartial {
     relations: Vec<Relation>,
     dictionary: Dictionary,
@@ -90,25 +88,15 @@ impl SegmentPartial {
 /// the synthetic collection element whose children are document roots).
 pub fn build_partial(tree: &DataTree, map: &SchemaMap, config: &EncodeConfig) -> SegmentPartial {
     let (preorder, rank) = preorder_of(tree);
-    let (shapes, classes) = if need_classes(config) {
-        let mut shapes = ShapeCons::new(config.order);
-        let classes = EqClasses::compute_in(tree, &mut shapes);
-        (Some(shapes), Some(classes))
-    } else {
-        (None, None)
-    };
-
     let Skeleton {
         mut relations,
         column_of_elem,
         child_elem,
-    } = build_skeleton(map, config);
+    } = build_skeleton(map);
     let mut dictionary = Dictionary::new();
     let mut encoder = Encoder {
         tree,
         map,
-        config,
-        classes: classes.as_ref(),
         rank: Some(&rank),
         relations: &mut relations,
         column_of_elem: &column_of_elem,
@@ -124,8 +112,10 @@ pub fn build_partial(tree: &DataTree, map: &SchemaMap, config: &EncodeConfig) ->
     if let Some(&celem) = child_elem.get(&(map.root(), label)) {
         encoder.visit_child(tree.root(), celem, RelId(0), 0);
     }
-    let tuple_class = match &classes {
-        Some(classes) => relations
+    let (shapes, tuple_class) = if need_classes(config) {
+        let mut shapes = ShapeCons::new(config.order);
+        let classes = EqClasses::compute_in(tree, &mut shapes);
+        let tuple_class = relations
             .iter()
             .map(|r| {
                 r.node_keys
@@ -137,8 +127,10 @@ pub fn build_partial(tree: &DataTree, map: &SchemaMap, config: &EncodeConfig) ->
                     })
                     .collect()
             })
-            .collect(),
-        None => Vec::new(),
+            .collect();
+        (Some(shapes), tuple_class)
+    } else {
+        (None, Vec::new())
     };
     SegmentPartial {
         relations,
@@ -200,7 +192,7 @@ pub struct ForestMerge {
 impl ForestMerge {
     /// An empty merge for the collection schema `map` under `config`.
     pub fn new(map: SchemaMap, config: &EncodeConfig) -> Self {
-        let Skeleton { mut relations, .. } = build_skeleton(&map, config);
+        let Skeleton { mut relations, .. } = build_skeleton(&map);
         let base_columns: Vec<usize> = relations.iter().map(|r| r.columns.len()).collect();
         let base_len = base_columns.len();
         if let Some(root) = relations.first_mut() {
@@ -273,19 +265,12 @@ impl ForestMerge {
         forest.dictionary.truncate(mark.strings, 0);
         self.classes.truncate(mark.classes, mark.class_strings);
 
-        let derive_sets = self.config.set_columns != SetColumnMode::None;
+        let derive_sets = need_classes(&self.config);
         let mut nodes = mark.nodes;
         let suffix = parts.get(keep..).unwrap_or_default();
         for &(key, part) in suffix {
             let tuple_class = derive_sets.then_some(&mut self.tuple_class);
-            let root_cells = append_segment(
-                forest,
-                &self.config,
-                &mut self.classes,
-                tuple_class,
-                nodes,
-                part,
-            );
+            let root_cells = append_segment(forest, &mut self.classes, tuple_class, nodes, part);
             nodes += part.node_count;
             self.segments.push(MergedSegment {
                 key,
@@ -337,7 +322,6 @@ impl ForestMerge {
                         .unwrap_or(ValueClassId(0))
                 },
                 dictionary,
-                self.config.set_columns,
                 self.config.order,
             );
         }
@@ -353,7 +337,6 @@ impl ForestMerge {
 /// derived.
 fn append_segment(
     forest: &mut Forest,
-    config: &EncodeConfig,
     classes: &mut ShapeCons,
     tuple_class: Option<&mut Vec<Vec<ValueClassId>>>,
     node_off: usize,
@@ -397,14 +380,7 @@ fn append_segment(
     let remap_cell = |kind: ColumnKind, v: u64| -> u64 {
         match kind {
             ColumnKind::Simple => string_map.get(v as usize).copied().unwrap_or(0),
-            ColumnKind::Complex => match config.complex_columns {
-                ComplexColumnMode::NodeKey => v + node_off as u64,
-                ComplexColumnMode::ValueClass => {
-                    class_map.get(v as usize).copied().map_or(0, u64::from)
-                }
-                // Omitted columns never materialize cells; pass through.
-                ComplexColumnMode::Omit => v,
-            },
+            ColumnKind::Complex => v + node_off as u64,
             // Set columns are only added after the merge; pass through.
             ColumnKind::SetValue => v,
         }
@@ -644,7 +620,7 @@ pub fn decode_partial(
     }
     let n_shapes = shapes.as_ref().map_or(0, ShapeCons::len);
 
-    let Skeleton { mut relations, .. } = build_skeleton(map, config);
+    let Skeleton { mut relations, .. } = build_skeleton(map);
     let n_rel = r.u32()? as usize;
     if n_rel != relations.len() {
         return Err(CodecError::BadValue("relation count"));
@@ -690,11 +666,7 @@ pub fn decode_partial(
                 }
                 let bound = match col.kind {
                     ColumnKind::Simple => n_strings as u64,
-                    ColumnKind::Complex => match config.complex_columns {
-                        ComplexColumnMode::NodeKey => node_count as u64,
-                        ComplexColumnMode::ValueClass => n_shapes as u64,
-                        ComplexColumnMode::Omit => 0,
-                    },
+                    ColumnKind::Complex => node_count as u64,
                     ColumnKind::SetValue => 0,
                 };
                 if v >= bound {
@@ -788,6 +760,7 @@ pub fn forest_fingerprint(forest: &Forest) -> u128 {
 mod tests {
     use super::*;
     use crate::encode::encode;
+    use crate::encode::SetColumnMode;
     use crate::treetuple::encode_tree;
     use xfd_hash::codec::check_garbled;
     use xfd_schema::infer_schema;
@@ -864,17 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn parity_value_class_mode() {
-        check_parity(
-            STORES,
-            &EncodeConfig {
-                complex_columns: ComplexColumnMode::ValueClass,
-                ..Default::default()
-            },
-        );
-    }
-
-    #[test]
     fn parity_ordered_mode() {
         check_parity(
             STORES,
@@ -886,46 +848,11 @@ mod tests {
     }
 
     #[test]
-    fn parity_ordered_value_class() {
-        check_parity(
-            STORES,
-            &EncodeConfig {
-                order: OrderMode::Ordered,
-                complex_columns: ComplexColumnMode::ValueClass,
-                ..Default::default()
-            },
-        );
-    }
-
-    #[test]
-    fn parity_numeric_values() {
-        check_parity(
-            &["<r><n>01</n><n>1</n></r>", "<r><n>1.50</n><n>2</n></r>"],
-            &EncodeConfig {
-                numeric_values: true,
-                ..Default::default()
-            },
-        );
-    }
-
-    #[test]
     fn parity_no_classes_needed() {
         check_parity(
             STORES,
             &EncodeConfig {
                 set_columns: SetColumnMode::None,
-                complex_columns: ComplexColumnMode::Omit,
-                ..Default::default()
-            },
-        );
-    }
-
-    #[test]
-    fn parity_simple_only_set_columns() {
-        check_parity(
-            STORES,
-            &EncodeConfig {
-                set_columns: SetColumnMode::SimpleOnly,
                 ..Default::default()
             },
         );
@@ -935,17 +862,10 @@ mod tests {
     fn parity_mixed_root_labels_non_set_roots_land_on_root_relation() {
         // `r` and `s` each appear once: both document roots are non-set
         // complex children of the collection root, exercising the root
-        // tuple overlay for Complex (NodeKey) and nested Simple columns.
+        // tuple overlay for Complex (node-key) and nested Simple columns.
         check_parity(
             &["<r><a>1</a><c><d>x</d></c></r>", "<s><b>2</b><b>3</b></s>"],
             &EncodeConfig::default(),
-        );
-        check_parity(
-            &["<r><a>1</a><c><d>x</d></c></r>", "<s><b>2</b><b>3</b></s>"],
-            &EncodeConfig {
-                complex_columns: ComplexColumnMode::ValueClass,
-                ..Default::default()
-            },
         );
     }
 
@@ -1043,18 +963,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_merge_matches_serial_value_class_mode() {
-        check_incremental(&EncodeConfig {
-            complex_columns: ComplexColumnMode::ValueClass,
-            ..Default::default()
-        });
-    }
-
-    #[test]
     fn incremental_merge_matches_serial_ordered_mode() {
         check_incremental(&EncodeConfig {
             order: OrderMode::Ordered,
-            complex_columns: ComplexColumnMode::ValueClass,
             ..Default::default()
         });
     }
@@ -1128,18 +1039,9 @@ mod tests {
     }
 
     #[test]
-    fn partial_codec_roundtrips_value_class_mode() {
-        partial_codec_roundtrip(&EncodeConfig {
-            complex_columns: ComplexColumnMode::ValueClass,
-            ..Default::default()
-        });
-    }
-
-    #[test]
     fn partial_codec_roundtrips_without_classes() {
         partial_codec_roundtrip(&EncodeConfig {
             set_columns: SetColumnMode::None,
-            complex_columns: ComplexColumnMode::Omit,
             ..Default::default()
         });
     }
@@ -1155,12 +1057,11 @@ mod tests {
         for config in [
             EncodeConfig::default(),
             EncodeConfig {
-                complex_columns: ComplexColumnMode::ValueClass,
+                set_columns: SetColumnMode::None,
                 ..Default::default()
             },
             EncodeConfig {
-                set_columns: SetColumnMode::None,
-                complex_columns: ComplexColumnMode::Omit,
+                order: OrderMode::Ordered,
                 ..Default::default()
             },
         ] {
@@ -1175,8 +1076,8 @@ mod tests {
             [
                 "ef24e7a70aba00668725fc38c72e6b99",
                 "bc925497cef8962e4c0c41cd4a0eb423",
-                "c07b8bf7884180e056552f65d1da4e0d",
-                "cd8001f1da20f14fedbe5e68744f28e0",
+                "ea5c9fe7943f75d1037d20e109f7809e",
+                "3fdfabb00cf5ccceeb16729b6daead23",
             ]
         );
     }
@@ -1202,7 +1103,6 @@ mod tests {
         // A mismatched plan (different class-table expectations) is typed.
         let no_classes = EncodeConfig {
             set_columns: SetColumnMode::None,
-            complex_columns: ComplexColumnMode::Omit,
             ..Default::default()
         };
         assert!(decode_partial(&bytes, &map, &no_classes).is_err());

@@ -16,6 +16,8 @@
 
 use std::io::{BufRead, Read, Write};
 
+use discoverxfd::report::JsonStr;
+
 /// Parser limits; defaults sized for discovery requests (small heads, a
 /// potentially large XML body whose cap is enforced by the caller).
 #[derive(Debug, Clone, Copy)]
@@ -451,10 +453,7 @@ impl Response {
 
     /// A JSON error body `{"error": "..."}` with properly escaped text.
     pub fn error(status: u16, message: &str) -> Self {
-        Response::json(
-            status,
-            format!("{{\"error\": \"{}\"}}\n", json_escape(message)),
-        )
+        Response::json(status, format!("{{\"error\": {}}}\n", JsonStr(message)))
     }
 
     /// Append a header.
@@ -494,23 +493,6 @@ impl Response {
         w.write_all(&wire)?;
         w.flush()
     }
-}
-
-/// Minimal JSON string escaping for error messages.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Canonical reason phrase for the status codes the daemon emits.
@@ -840,5 +822,10 @@ mod tests {
         let r = Response::error(400, "bad \"quote\"\nline");
         let body = String::from_utf8(r.body).unwrap();
         assert_eq!(body, "{\"error\": \"bad \\\"quote\\\"\\nline\"}\n");
+        // Every escape class: quote, backslash, the three short control
+        // escapes, another control byte, and a non-ASCII char kept as is.
+        let r = Response::error(400, "q\"b\\n\nt\tr\r\u{1}é");
+        let body = String::from_utf8(r.body).unwrap();
+        assert_eq!(body, "{\"error\": \"q\\\"b\\\\n\\nt\\tr\\r\\u0001é\"}\n");
     }
 }

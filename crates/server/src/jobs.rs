@@ -12,8 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use discoverxfd::report::JsonStr;
+
 use crate::digest::format_digest;
-use crate::http::json_escape;
 use crate::sync::{lock_recover, wait_timeout_recover};
 
 /// Finished-job history cap; oldest completed records are pruned past it.
@@ -83,7 +84,7 @@ impl JobRecord {
                 ));
             }
             JobStatus::Failed(message) => {
-                out.push_str(&format!(", \"error\": \"{}\"", json_escape(message)));
+                out.push_str(&format!(", \"error\": {}", JsonStr(message)));
             }
             _ => {}
         }

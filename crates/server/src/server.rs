@@ -39,13 +39,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use discoverxfd::report::render_json;
+use discoverxfd::report::{render_json, JsonStr};
 use discoverxfd::{discover, DiscoveryConfig};
 use xfd_corpus::{validate_name, CorpusError, CorpusHandle, CorpusStore};
 use xfd_xml::parse_reader;
 
 use crate::digest::{format_digest, parse_digest, ContentDigest, DigestReader};
-use crate::http::{json_escape, read_request, HttpError, Limits, Request, Response};
+use crate::http::{read_request, HttpError, Limits, Request, Response};
 use crate::jobs::{JobStatus, JobTable};
 use crate::metrics::{GaugeSnapshot, Metrics};
 use crate::queue::{JobQueue, PushError};
@@ -707,7 +707,7 @@ fn corpus_error_response(e: &CorpusError) -> Response {
 fn corpus_create(registry: &CorpusRegistry, name: &str) -> Response {
     match registry.store.create(name) {
         Ok(handle) => {
-            let body = format!("{{\"corpus\": \"{}\", \"docs\": 0}}\n", json_escape(name));
+            let body = format!("{{\"corpus\": {}, \"docs\": 0}}\n", JsonStr(name));
             lock_recover(&registry.handles).insert(name.to_string(), Arc::new(Mutex::new(handle)));
             Response::json(201, body)
         }
@@ -729,8 +729,8 @@ fn render_corpus_status(
     pool: Option<xfd_cluster::PoolSnapshot>,
 ) -> String {
     let mut out = format!(
-        "{{\"corpus\": \"{}\", \"segment_bytes\": {}, \"forest_cached\": {}, \"memo\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"resident_bytes\": {}}}, \"kernel\": {{\"products_error_only\": {}, \"products_materialized\": {}, \"early_exits\": {}, \"summary_hits\": {}}}, \"docs\": [",
-        json_escape(&status.name),
+        "{{\"corpus\": {}, \"segment_bytes\": {}, \"forest_cached\": {}, \"memo\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"resident_bytes\": {}}}, \"kernel\": {{\"products_error_only\": {}, \"products_materialized\": {}, \"early_exits\": {}, \"summary_hits\": {}}}, \"docs\": [",
+        JsonStr(&status.name),
         status.segment_bytes,
         status.forest_cached,
         status.memo_entries,
@@ -748,8 +748,8 @@ fn render_corpus_status(
             out.push_str(", ");
         }
         out.push_str(&format!(
-            "{{\"name\": \"{}\", \"digest\": \"{digest}\", \"nodes\": {nodes}}}",
-            json_escape(name)
+            "{{\"name\": {}, \"digest\": \"{digest}\", \"nodes\": {nodes}}}",
+            JsonStr(name)
         ));
     }
     out.push(']');
@@ -771,7 +771,7 @@ fn corpus_delete(registry: &CorpusRegistry, name: &str) -> Response {
     handles.remove(name);
     // xfdlint:allow(lock_discipline, reason = "delete must run under the registry lock to fence concurrent reopen between eviction and directory removal")
     match registry.store.delete(name) {
-        Ok(()) => Response::json(200, format!("{{\"deleted\": \"{}\"}}\n", json_escape(name))),
+        Ok(()) => Response::json(200, format!("{{\"deleted\": {}}}\n", JsonStr(name))),
         Err(e) => corpus_error_response(&e),
     }
 }
@@ -813,10 +813,7 @@ fn corpus_add_doc(
     }) {
         Ok(Ok(docs)) => Response::json(
             201,
-            format!(
-                "{{\"corpus\": \"{}\", \"docs\": {docs}}}\n",
-                json_escape(corpus)
-            ),
+            format!("{{\"corpus\": {}, \"docs\": {docs}}}\n", JsonStr(corpus)),
         ),
         Ok(Err(e)) | Err(e) => corpus_error_response(&e),
     }
@@ -830,10 +827,7 @@ fn corpus_remove_doc(registry: &CorpusRegistry, corpus: &str, doc: &str) -> Resp
     match registry.with_handle(corpus, |h| h.remove_doc(doc).map(|()| h.len())) {
         Ok(Ok(docs)) => Response::json(
             200,
-            format!(
-                "{{\"corpus\": \"{}\", \"docs\": {docs}}}\n",
-                json_escape(corpus)
-            ),
+            format!("{{\"corpus\": {}, \"docs\": {docs}}}\n", JsonStr(corpus)),
         ),
         Ok(Err(e)) | Err(e) => corpus_error_response(&e),
     }
@@ -964,8 +958,8 @@ fn stream_corpus_discover(
     let sink = &mut *stream;
     let outcome = guard.discover_with_progress(config, |p| {
         let line = format!(
-            "{{\"relation\": \"{}\", \"depth\": {}, \"cached\": {}, \"fds\": {}, \"keys\": {}, \"inter_fds\": {}, \"inter_keys\": {}}}\n",
-            json_escape(p.name),
+            "{{\"relation\": {}, \"depth\": {}, \"cached\": {}, \"fds\": {}, \"keys\": {}, \"inter_fds\": {}, \"inter_keys\": {}}}\n",
+            JsonStr(p.name),
             p.depth,
             p.cached,
             p.fds,

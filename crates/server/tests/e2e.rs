@@ -191,6 +191,62 @@ fn chunked_discover_matches_content_length_and_shares_the_cache() {
     join.join().unwrap().unwrap();
 }
 
+/// Bodies larger than `spill_buffer_bytes` take the streaming intake:
+/// they are parsed while they are digested. Such a body gets the batch
+/// report, and a repeat is a cache hit, though not a parse-free one.
+/// A body that ends before its `Content-Length` is a 400.
+#[test]
+fn streamed_bodies_are_digested_while_they_parse() {
+    let (addr, handle, join) = spawn_server(ServerConfig {
+        spill_buffer_bytes: 16,
+        ..ServerConfig::default()
+    });
+    let first = post(addr, "/v1/discover", BOOKSTORE);
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(first.header("X-Cache"), Some("miss"));
+    let tree = xfd_xml::parse(BOOKSTORE).unwrap();
+    let outcome = discoverxfd::discover(&tree, &discoverxfd::DiscoveryConfig::default());
+    assert_eq!(
+        normalize_total_ms(&first.body),
+        normalize_total_ms(&discoverxfd::report::render_json(&outcome))
+    );
+
+    let repeat = post(addr, "/v1/discover", BOOKSTORE);
+    assert_eq!(repeat.status, 200, "{}", repeat.body);
+    assert_eq!(repeat.header("X-Cache"), Some("hit"));
+    assert_eq!(repeat.body, first.body);
+    let metrics = get(addr, "/metrics").body;
+    assert!(
+        metrics.contains("discoverxfd_parse_free_hits_total 0"),
+        "{metrics}"
+    );
+
+    // A complete document whose Content-Length promises 10 more bytes;
+    // the client then closes its write half, so the body ends early.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let head = format!(
+        "POST /v1/discover HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+        BOOKSTORE.len() + 10
+    );
+    stream.write_all(head.as_bytes()).expect("write head");
+    stream.write_all(BOOKSTORE.as_bytes()).expect("write body");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("close write half");
+    let mut short = String::new();
+    stream.read_to_string(&mut short).expect("read response");
+    assert!(short.starts_with("HTTP/1.1 400 "), "{short}");
+    assert!(
+        short.contains("body shorter than Content-Length"),
+        "{short}"
+    );
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 #[test]
 fn repeated_documents_are_served_from_the_result_cache() {
     let (addr, handle, join) = spawn_server(ServerConfig::default());

@@ -35,6 +35,11 @@
 //! `Pass` task and the `TaskResult` output each become one digest-checked
 //! record, so a garbled pass is a decode error rather than a different
 //! valid one.
+//!
+//! Version 7 drops four fields from the `Plan`/`Pass` config: the
+//! complex-column mode, numeric value comparison, the empty-LHS switch
+//! and the partition-target cap, which are now fixed. The set-column mode
+//! keeps two values and its tag becomes 0 (none) or 1 (all).
 
 use std::io::{self, Read, Write};
 
@@ -43,7 +48,7 @@ use xfd_hash::codec::{put_bytes, put_u128, put_u32, put_u64, CodecError, Reader}
 /// Protocol version, checked in the `Join` handshake. Bump on any frame
 /// layout change, including the layouts of the `Plan` config and `Pass`
 /// task payloads.
-pub const PROTOCOL_VERSION: u32 = 6;
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Hard cap on one frame's payload (a partial of a very large segment
 /// stays far below this); anything bigger is a protocol violation, not an
@@ -481,7 +486,7 @@ mod tests {
         }
         assert_eq!(
             xfd_hash::format_digest(xfd_hash::digest_bytes(&wire)),
-            "fa2e44630c1f8ba6f5b3db6e42461729"
+            "e6191e652ac66a5f0501b510d5d89628"
         );
     }
 

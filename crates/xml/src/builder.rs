@@ -94,12 +94,6 @@ impl TreeBuilder {
         self
     }
 
-    /// Id of the element currently open (for callers that need to record
-    /// positions while building).
-    pub fn current_id(&self) -> NodeId {
-        self.current()
-    }
-
     /// Finish building; all open elements are implicitly closed.
     pub fn finish(self) -> DataTree {
         self.tree

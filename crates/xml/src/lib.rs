@@ -47,11 +47,11 @@ mod parser;
 pub use builder::TreeBuilder;
 pub use error::{ParseError, ParseErrorKind, Position};
 pub use intern::{Interner, Symbol};
-pub use parser::{parse, parse_with_options, ParseOptions};
+pub use parser::parse;
 pub use path::{Path, Step};
 pub use query::Query;
-pub use reader::{parse_reader, parse_reader_with_options, ReadError};
-pub use serialize::{to_xml_string, to_xml_string_with, SerializeOptions};
+pub use reader::{parse_reader, ReadError};
+pub use serialize::to_xml_string;
 pub use tree::{DataTree, NodeId, TreeStats};
 pub use value_eq::{
     canonical_form, node_value_eq_cross, path_value_eq, preorder_of, CanonicalValue, EqClasses,

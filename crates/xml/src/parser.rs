@@ -5,8 +5,8 @@
 //! * each element becomes a node labeled with its tag name;
 //! * each attribute `a="v"` becomes a child node labeled `@a` with value `v`
 //!   (attributes and elements are treated uniformly);
-//! * an element with no children stores its (entity-decoded, optionally
-//!   trimmed) text as its own simple value;
+//! * an element with no children stores its entity-decoded text, trimmed
+//!   of leading and trailing whitespace, as its own simple value;
 //! * a mixed-content element with exactly one non-whitespace textual chunk
 //!   stores it under a synthesized `@text` child; with more than one chunk
 //!   the text is ignored, following the paper.
@@ -16,32 +16,11 @@ use crate::tokenizer::{Token, Tokenizer};
 use crate::tree::{DataTree, NodeId};
 use crate::TEXT_LABEL;
 
-/// Knobs controlling XML → data-tree conversion.
-#[derive(Debug, Clone, Copy)]
-pub struct ParseOptions {
-    /// Trim leading/trailing ASCII whitespace from leaf values and `@text`
-    /// chunks (pretty-printed documents otherwise leak indentation into
-    /// values). Default: `true`.
-    pub trim_text: bool,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions { trim_text: true }
-    }
-}
-
-/// Parse an XML document with default [`ParseOptions`].
+/// Parse an XML document. A leading UTF-8 BOM is skipped.
 pub fn parse(input: &str) -> Result<DataTree, ParseError> {
-    parse_with_options(input, ParseOptions::default())
-}
-
-/// Parse an XML document with explicit options. A leading UTF-8 BOM is
-/// skipped.
-pub fn parse_with_options(input: &str, options: ParseOptions) -> Result<DataTree, ParseError> {
     let input = input.strip_prefix('\u{FEFF}').unwrap_or(input);
     let mut tokens = Tokenizer::new(input);
-    let mut assembler = TreeAssembler::new(options);
+    let mut assembler = TreeAssembler::new();
     while let Some(tok) = tokens.next_token()? {
         assembler.push(tok)?;
     }
@@ -61,16 +40,14 @@ struct OpenElement {
 /// the chunked [`crate::reader`] entry point: feed tokens with [`Self::push`]
 /// (in document order, from any tokenization strategy), then [`Self::finish`].
 pub(crate) struct TreeAssembler {
-    options: ParseOptions,
     tree: Option<DataTree>,
     stack: Vec<OpenElement>,
     root_done: bool,
 }
 
 impl TreeAssembler {
-    pub(crate) fn new(options: ParseOptions) -> Self {
+    pub(crate) fn new() -> Self {
         TreeAssembler {
-            options,
             tree: None,
             stack: Vec::new(),
             root_done: false,
@@ -115,17 +92,13 @@ impl TreeAssembler {
                     }
                     return Ok(());
                 }
-                if !text.trim().is_empty() {
-                    let chunk = if self.options.trim_text {
-                        text.trim().to_string()
-                    } else {
-                        text
-                    };
+                let chunk = text.trim();
+                if !chunk.is_empty() {
                     self.stack
                         .last_mut()
                         .expect("non-empty stack")
                         .text_chunks
-                        .push(chunk);
+                        .push(chunk.to_string());
                 }
             }
         }
@@ -262,15 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn leaf_values_are_trimmed_by_default() {
+    fn leaf_values_are_trimmed() {
         let t = parse("<a>\n   59.99\n</a>").unwrap();
         assert_eq!(t.value(t.root()), Some("59.99"));
-    }
-
-    #[test]
-    fn trimming_can_be_disabled() {
-        let t = parse_with_options("<a> x </a>", ParseOptions { trim_text: false }).unwrap();
-        assert_eq!(t.value(t.root()), Some(" x "));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::io::Read;
 
 use crate::error::{ParseError, ParseErrorKind, Position};
-use crate::parser::{ParseOptions, TreeAssembler};
+use crate::parser::TreeAssembler;
 use crate::tokenizer::{Token, Tokenizer};
 use crate::tree::DataTree;
 
@@ -60,18 +60,10 @@ impl From<std::io::Error> for ReadError {
     }
 }
 
-/// Parse a document from a reader with default [`ParseOptions`].
-pub fn parse_reader<R: Read>(reader: R) -> Result<DataTree, ReadError> {
-    parse_reader_with_options(reader, ParseOptions::default())
-}
-
-/// Parse a document from a reader with explicit options. A leading UTF-8
-/// BOM is skipped, matching [`crate::parse`].
-pub fn parse_reader_with_options<R: Read>(
-    mut reader: R,
-    options: ParseOptions,
-) -> Result<DataTree, ReadError> {
-    let mut assembler = TreeAssembler::new(options);
+/// Parse a document from a reader. A leading UTF-8 BOM is skipped,
+/// matching [`crate::parse`].
+pub fn parse_reader<R: Read>(mut reader: R) -> Result<DataTree, ReadError> {
+    let mut assembler = TreeAssembler::new();
     // Unconsumed, valid-UTF-8 input; `base` is the absolute position of
     // `buf[0]` in the stream, used to rebase token/error positions.
     let mut buf = String::new();

@@ -9,48 +9,19 @@ use crate::escape::{escape_attr, escape_text};
 use crate::tree::{DataTree, NodeId};
 use crate::TEXT_LABEL;
 
-/// Serialization knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SerializeOptions {
-    /// Pretty-print with two-space indentation (default `true`).
-    pub indent: bool,
-    /// Emit the `<?xml version="1.0"?>` declaration (default `false`).
-    pub declaration: bool,
-}
-
-impl Default for SerializeOptions {
-    fn default() -> Self {
-        SerializeOptions {
-            indent: true,
-            declaration: false,
-        }
-    }
-}
-
-/// Serialize the whole tree to an XML string with default options.
+/// Serialize the whole tree to XML text, pretty-printed with two-space
+/// indentation and without an XML declaration.
 pub fn to_xml_string(tree: &DataTree) -> String {
-    to_xml_string_with(tree, SerializeOptions::default())
-}
-
-/// Serialize the whole tree with explicit options.
-pub fn to_xml_string_with(tree: &DataTree, options: SerializeOptions) -> String {
     let mut out = String::new();
-    if options.declaration {
-        out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-    }
-    write_node(tree, tree.root(), 0, options.indent, &mut out);
-    if options.indent {
-        out.push('\n');
-    }
+    write_node(tree, tree.root(), 0, &mut out);
+    out.push('\n');
     out
 }
 
-fn write_node(tree: &DataTree, node: NodeId, depth: usize, indent: bool, out: &mut String) {
+fn write_node(tree: &DataTree, node: NodeId, depth: usize, out: &mut String) {
     let pad = |out: &mut String, d: usize| {
-        if indent {
-            for _ in 0..d {
-                out.push_str("  ");
-            }
+        for _ in 0..d {
+            out.push_str("  ");
         }
     };
     pad(out, depth);
@@ -99,15 +70,11 @@ fn write_node(tree: &DataTree, node: NodeId, depth: usize, indent: bool, out: &m
     }
     if !element_children.is_empty() {
         for &c in &element_children {
-            if indent {
-                out.push('\n');
-            }
-            write_node(tree, c, depth + 1, indent, out);
-        }
-        if indent {
             out.push('\n');
-            pad(out, depth);
+            write_node(tree, c, depth + 1, out);
         }
+        out.push('\n');
+        pad(out, depth);
     }
     out.push_str("</");
     out.push_str(label);
@@ -148,40 +115,13 @@ mod tests {
     #[test]
     fn attrs_are_rendered_inline() {
         let t = TreeBuilder::new("a").attr("id", "7").finish();
-        let s = to_xml_string_with(
-            &t,
-            SerializeOptions {
-                indent: false,
-                declaration: false,
-            },
-        );
-        assert_eq!(s, "<a id=\"7\"/>");
+        assert_eq!(to_xml_string(&t), "<a id=\"7\"/>\n");
     }
 
     #[test]
     fn text_child_is_rendered_as_content() {
         let t = parse(r#"<b x="1">hi</b>"#).unwrap();
-        let s = to_xml_string_with(
-            &t,
-            SerializeOptions {
-                indent: false,
-                declaration: false,
-            },
-        );
-        assert_eq!(s, "<b x=\"1\">hi</b>");
-    }
-
-    #[test]
-    fn declaration_is_optional() {
-        let t = TreeBuilder::new("a").finish();
-        let s = to_xml_string_with(
-            &t,
-            SerializeOptions {
-                indent: true,
-                declaration: true,
-            },
-        );
-        assert!(s.starts_with("<?xml"));
+        assert_eq!(to_xml_string(&t), "<b x=\"1\">hi</b>\n");
     }
 
     #[test]

@@ -65,7 +65,18 @@ normalize() { sed 's/"total_ms": [0-9.]*/"total_ms": X/'; }
 curl -sS -X POST --data-binary @"$DOC" "http://$ADDR/v1/discover" | normalize > /tmp/ci-served.json
 "$BIN" discover "$DOC" --json | normalize > /tmp/ci-batch.json
 cmp /tmp/ci-served.json /tmp/ci-batch.json || { echo "served report differs from batch CLI"; exit 1; }
-echo "   served report matches batch CLI"
+# The three other encode configurations: query parameters against the
+# matching CLI flags.
+for CASE in "sets=false|--no-sets" "ordered=true|--ordered" "sets=false&ordered=true|--no-sets --ordered"; do
+  QUERY=${CASE%%|*}
+  FLAGS=${CASE#*|}
+  curl -sS -X POST --data-binary @"$DOC" "http://$ADDR/v1/discover?$QUERY" | normalize > /tmp/ci-served-case.json
+  # shellcheck disable=SC2086
+  "$BIN" discover "$DOC" --json $FLAGS | normalize > /tmp/ci-batch-case.json
+  cmp /tmp/ci-served-case.json /tmp/ci-batch-case.json \
+    || { echo "served report for ?$QUERY differs from discover $FLAGS"; exit 1; }
+done
+echo "   served report matches batch CLI (default, sets=false, ordered=true, both)"
 
 # Tiered partition kernel: the default run must actually take the
 # error-only path (and its early exit — the warehouse data has invalid

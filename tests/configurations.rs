@@ -1,9 +1,9 @@
-//! End-to-end behaviour across the configuration space: caps, order
-//! modes, complex-column modes, deep chains, and multi-child target
-//! routing.
+//! End-to-end behaviour across the configuration space: order modes,
+//! node-key complex columns, constant columns, deep chains, and
+//! multi-child target routing.
 
 use discoverxfd_suite::prelude::*;
-use xfd_relation::{ComplexColumnMode, OrderMode};
+use xfd_relation::OrderMode;
 
 #[test]
 fn four_level_chain_fd_completion() {
@@ -62,33 +62,28 @@ fn multiple_child_relations_route_targets_to_one_parent() {
 
 #[test]
 fn target_cap_drops_rather_than_explodes() {
-    // A relation whose every edge is a partial FD generates many targets;
-    // an absurdly low cap must degrade gracefully (counted, not crashed).
-    let mut xml = String::from("<w>");
-    for s in 0..6 {
-        xml.push_str(&format!("<store><name>n{}</name>", s % 2));
-        for b in 0..6 {
-            xml.push_str(&format!(
-                "<book><i>{}</i><p>{}</p><q>{}</q></book>",
-                b % 3,
-                (s + b) % 4,
-                (s * b) % 5
-            ));
-        }
-        xml.push_str("</store>");
+    // A failing edge whose target would hold more tuple pairs than the
+    // partition-target cap (100 000) must degrade gracefully (counted,
+    // not crashed): 499 stores hold one book each with its own price, so
+    // `∅ → ./p` fails over ~125 000 pairs of books with distinct parents.
+    // The first store's two books (equal prices) make book a set element.
+    let book = "<book><p>0</p><q>0</q></book>";
+    let mut xml = format!("<w><store>{book}{book}</store>");
+    for s in 1..500 {
+        xml.push_str(&format!(
+            "<store><book><p>{s}</p><q>{}</q></book></store>",
+            s % 2
+        ));
     }
     xml.push_str("</w>");
     let doc = parse(&xml).unwrap();
-    let capped = discover(
-        &doc,
-        &DiscoveryConfig {
-            max_partition_targets: 1,
-            ..Default::default()
-        },
+    let report = discover(&doc, &DiscoveryConfig::default());
+    assert!(report.stats.targets.dropped_overflow > 0);
+    let fds: Vec<String> = report.fds.iter().map(|f| f.to_string()).collect();
+    assert!(
+        fds.contains(&"{./p} -> ./q w.r.t. C_book".to_string()),
+        "{fds:#?}"
     );
-    let full = discover(&doc, &DiscoveryConfig::default());
-    assert!(capped.stats.targets.created + capped.stats.targets.dropped_overflow > 0);
-    assert!(capped.fds.len() <= full.fds.len());
 }
 
 #[test]
@@ -117,31 +112,21 @@ fn ordered_mode_changes_set_fd_results_end_to_end() {
 }
 
 #[test]
-fn value_class_complex_columns_enable_subtree_fds() {
-    // contact subtrees equal ⇔ same class id: with ValueClass mode the FD
-    // {./contact} → ./name becomes discoverable.
+fn complex_columns_compare_by_node_key() {
+    // The two first contacts are equal subtrees, but a complex column
+    // holds node keys (Figures 5–6), so it is key-like within its
+    // relation and {./contact} -> ./name is not reported.
     let xml = "<w>\
         <store><contact><ph>1</ph><em>a</em></contact><name>X</name></store>\
         <store><contact><em>a</em><ph>1</ph></contact><name>X</name></store>\
         <store><contact><ph>2</ph><em>b</em></contact><name>Y</name></store>\
         </w>";
     let doc = parse(xml).unwrap();
-    // Default (NodeKey): contact columns are key-like → no such FD.
-    let default = discover(&doc, &DiscoveryConfig::default());
-    assert!(!default
+    let report = discover(&doc, &DiscoveryConfig::default());
+    assert!(!report
         .fds
         .iter()
         .any(|f| f.to_string() == "{./contact} -> ./name w.r.t. C_store"));
-    let mut cfg = DiscoveryConfig::default();
-    cfg.encode.complex_columns = ComplexColumnMode::ValueClass;
-    let vc = discover(&doc, &cfg);
-    assert!(
-        vc.fds
-            .iter()
-            .any(|f| f.to_string() == "{./contact} -> ./name w.r.t. C_store"),
-        "{:#?}",
-        vc.fds.iter().map(|f| f.to_string()).collect::<Vec<_>>()
-    );
 }
 
 #[test]
@@ -164,23 +149,16 @@ fn intra_only_config_still_finds_local_fds() {
 }
 
 #[test]
-fn empty_lhs_disabled_suppresses_constant_fds() {
+fn constant_columns_get_empty_lhs_fds() {
     let xml = "<w><b><x>1</x><y>5</y></b><b><x>1</x><y>6</y></b></w>";
     let doc = parse(xml).unwrap();
-    let with = discover(&doc, &DiscoveryConfig::default());
+    let report = discover(&doc, &DiscoveryConfig::default());
     assert!(
-        with.fds
+        report
+            .fds
             .iter()
             .any(|f| f.to_string() == "{} -> ./x w.r.t. C_b"),
         "{:#?}",
-        with.fds.iter().map(|f| f.to_string()).collect::<Vec<_>>()
+        report.fds.iter().map(|f| f.to_string()).collect::<Vec<_>>()
     );
-    let without = discover(
-        &doc,
-        &DiscoveryConfig {
-            empty_lhs: false,
-            ..Default::default()
-        },
-    );
-    assert!(!without.fds.iter().any(|f| f.lhs.is_empty()));
 }

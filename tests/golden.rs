@@ -83,7 +83,6 @@ fn reports(name: &str) -> (String, String) {
     let opts = RenderOptions {
         show_uninteresting: config.keep_uninteresting,
         show_suggestions: false,
-        show_stats: true,
     };
     let text = format!(
         "# Schema\n{}\n{}",

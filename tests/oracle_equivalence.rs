@@ -2,7 +2,7 @@
 //! partition-based discovery must agree with the brute-force
 //! definition-level oracle (Definition 7 checked pair-by-pair).
 
-use discoverxfd::bruteforce::{brute_force, BruteOptions};
+use discoverxfd::bruteforce::brute_force;
 use discoverxfd::interesting::{
     inter_fd_to_xfd, inter_key_to_key, intra_fd_to_xfd, intra_key_to_key,
 };
@@ -148,9 +148,9 @@ proptest! {
         let tree = build(&doc);
         let schema = infer_schema(&tree);
         let forest = encode(&tree, &schema, &EncodeConfig::default());
-        let opts = BruteOptions { max_lhs: 2, empty_lhs: true };
-        let oracle = brute_force(&forest, &opts);
-        let (fds, keys) = discovery_strings(&forest, opts.max_lhs);
+        let max_lhs = 2;
+        let oracle = brute_force(&forest, max_lhs);
+        let (fds, keys) = discovery_strings(&forest, max_lhs);
         let ofds = oracle.fd_strings(&forest);
         let okeys = oracle.key_strings(&forest);
         prop_assert_eq!(&fds, &ofds, "FDs diverge on {:?}", doc);
@@ -176,9 +176,9 @@ proptest! {
         let tree = build3(&doc);
         let schema = infer_schema(&tree);
         let forest = encode(&tree, &schema, &EncodeConfig::default());
-        let opts = BruteOptions { max_lhs: 2, empty_lhs: true };
-        let oracle = brute_force(&forest, &opts);
-        let (fds, _) = discovery_strings(&forest, opts.max_lhs);
+        let max_lhs = 2;
+        let oracle = brute_force(&forest, max_lhs);
+        let (fds, _) = discovery_strings(&forest, max_lhs);
         let ofds = oracle.fd_strings(&forest);
         prop_assert_eq!(&fds, &ofds, "FDs diverge on {:?}", doc);
     }
